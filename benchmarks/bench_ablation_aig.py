@@ -15,7 +15,7 @@ import pytest
 
 from repro.circuits import build
 from repro.network import check_equivalence, refactor, to_aig_form
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 
 
 def _variants(name, preset):
@@ -32,9 +32,9 @@ def test_detection_vs_representation(benchmark, preset, form):
     net = {"structural": structural, "aig": aig, "aig+refactor": opt}[form]
 
     def flow():
-        return run_flow(
-            net, FlowConfig(n_phases=4, use_t1=True, verify="none")
-        )
+        return Pipeline.standard(
+            n_phases=4, use_t1=True, verify="none"
+        ).run(net)
 
     res = benchmark.pedantic(flow, rounds=1, iterations=1)
     benchmark.extra_info.update(
@@ -60,12 +60,12 @@ def test_aig_form_recovers_adder_chain(preset):
     81/77, square 861/806, log2 644/593).
     """
     structural, aig, _ = _variants("adder", preset)
-    s = run_flow(structural, FlowConfig(verify="none"))
-    a = run_flow(aig, FlowConfig(verify="none"))
+    s = Pipeline.standard(verify="none").run(structural)
+    a = Pipeline.standard(verify="none").run(aig)
     assert a.t1_found >= s.t1_used          # every FA position is seen
     assert a.t1_used >= 0.4 * s.t1_used     # a good share survives overlap
     assert a.t1_used < a.t1_found           # the paper's found > used gap
-    assert check_equivalence(structural, a.logic_network).equivalent
+    assert check_equivalence(structural, a.network).equivalent
 
 
 def test_refactor_shrinks_aig(preset):

@@ -17,11 +17,7 @@ kernel exists for, writing ``BENCH_scale.json`` at the repository root:
 * **rewrite sweep** (ratchet circuit only) — the priority-queue
   ``refactor`` kernel vs the seed ``refactor_reference`` single sweep
   at cut size 4 (the oracle side is timed once — it is the slow path
-  the ratio exists to retire);
-* **numpy simulation** (when numpy is importable) — the opt-in
-  vectorised uint64 lane vs the big-int kernel, reported without a
-  floor: measured, the big-int kernel wins at width 64 and the lane
-  stays an explicit ``engine="numpy"`` opt-in.
+  the ratio exists to retire).
 
 Timings are best-of-N *within one process*, so the speedup ratios are
 machine-independent; with ``--ratchet`` (the CI perf-smoke mode) the
@@ -61,7 +57,6 @@ from repro.network import (
     sweep,
 )
 from repro.network.simulation import random_patterns
-from repro.util import have_numpy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,8 +186,7 @@ def bench_circuit(name, scale, repeats, failures):
 
 def bench_rewrite_kernels(name, scale, repeats, failures, key):
     """Ratchet-circuit-only sections: the flat-array cut kernel and the
-    priority-queue rewrite kernel vs their retained references, plus the
-    opt-in numpy simulation lane.
+    priority-queue rewrite kernel vs their retained references.
 
     The oracle sides are timed once (min-of-1): they are the slow paths
     the ratios exist to retire, and a single cold run already bounds the
@@ -244,7 +238,7 @@ def bench_rewrite_kernels(name, scale, repeats, failures, key):
             f"{key}: rewrite kernel result diverges from reference"
         )
 
-    sections = {
+    return {
         "cut_enumeration": {
             "k": CUT_K,
             "kernel_seconds": round(cut_s, 6),
@@ -265,34 +259,6 @@ def bench_rewrite_kernels(name, scale, repeats, failures, key):
             "speedup_vs_reference": round(ref_rw_s / rw_s, 2),
         },
     }
-
-    if have_numpy():
-        pats = random_patterns(len(net.pis), SIM_WIDTH, seed=7)
-        py0 = simulate(net, pats, SIM_WIDTH, engine="python")
-        np0 = simulate(net, pats, SIM_WIDTH, engine="numpy")
-        if py0 != np0:
-            failures.append(
-                f"{key}: numpy simulation lane diverges from python kernel"
-            )
-        py_s, _ = _best_of(
-            lambda: simulate(net, pats, SIM_WIDTH, engine="python"), repeats
-        )
-        np_s, _ = _best_of(
-            lambda: simulate(net, pats, SIM_WIDTH, engine="numpy"), repeats
-        )
-        sections["numpy_simulation"] = {
-            "available": True,
-            "width": SIM_WIDTH,
-            "python_seconds": round(py_s, 6),
-            "numpy_seconds": round(np_s, 6),
-            # reported, not ratcheted: the big-int kernel wins at width
-            # 64 and the numpy lane stays an explicit opt-in
-            "numpy_speedup": round(py_s / np_s, 2),
-        }
-    else:
-        sections["numpy_simulation"] = {"available": False}
-
-    return sections
 
 
 def main(argv=None) -> int:
@@ -347,7 +313,6 @@ def main(argv=None) -> int:
     )
     ce = circuits[RATCHET_CIRCUIT]["cut_enumeration"]
     rw = circuits[RATCHET_CIRCUIT]["rewrite_sweep"]
-    ns = circuits[RATCHET_CIRCUIT]["numpy_simulation"]
     print(
         f"{RATCHET_CIRCUIT:<14} kernels | "
         f"cuts k={ce['k']} {ce['kernel_nodes_per_s']:>7,}/s "
@@ -355,12 +320,7 @@ def main(argv=None) -> int:
         f"db {ce['db_nbytes'] / 1e6:.1f} MB) | "
         f"rewrite {rw['kernel_nodes_per_s']:>7,}/s "
         f"({rw['speedup_vs_reference']}x reference, "
-        f"{rw['accepted']} accepted) | "
-        + (
-            f"numpy sim {ns['numpy_speedup']}x python"
-            if ns["available"]
-            else "numpy absent"
-        )
+        f"{rw['accepted']} accepted)"
     )
 
     ratchet = {

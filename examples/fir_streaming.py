@@ -17,7 +17,7 @@ Run with::
 import random
 
 from repro.circuits.fir import fir_filter, fir_reference
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.io import dumps_sfq_verilog
 from repro.sfq import PulseSimulator, estimate_energy
 
@@ -30,8 +30,8 @@ def main() -> None:
     print(f"FIR datapath: {len(COEFFS)} taps x {BITS} bits, "
           f"{net.num_gates()} gates")
 
-    base = run_flow(net, FlowConfig(n_phases=4, use_t1=False, verify="none"))
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="cec"))
+    base = Pipeline.standard(n_phases=4, use_t1=False, verify="none").run(net)
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="cec").run(net)
     print(f"T1 cells used: {res.t1_used}; area {res.area_jj} JJ "
           f"(vs {base.area_jj} without T1 -> "
           f"{100 * (1 - res.area_jj / base.area_jj):.0f}% saved)")

@@ -17,7 +17,7 @@ import itertools
 
 from repro.errors import HazardError
 from repro.network import Gate, LogicNetwork
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq import (
     PulseSimulator,
     T1CellState,
@@ -73,7 +73,7 @@ def streaming_full_adder() -> None:
     a, b, c = (net.add_pi(x) for x in "abc")
     net.add_po(net.add_xor(a, b, c), "sum")
     net.add_po(net.add_maj3(a, b, c), "carry")
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=True, verify="none").run(net)
     t1 = next(res.netlist.t1_cells())
     arrivals = [res.netlist.driver_cell(s).stage for s in t1.fanins]
     print(f"T1 cell at stage {t1.stage}; input arrival stages {arrivals} "

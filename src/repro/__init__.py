@@ -9,23 +9,19 @@ Top-level convenience re-exports; see subpackages for the full API:
 * :mod:`repro.sat`, :mod:`repro.solvers` — SAT / LP / MILP / CP engines
 * :mod:`repro.sfq` — SFQ technology substrate and pulse-level simulator
 * :mod:`repro.core` — T1 detection / phase assignment / DFF insertion
-  algorithms and the legacy ``run_flow`` shim
+  algorithms
 * :mod:`repro.circuits` — benchmark circuit generators
 * :mod:`repro.io` — BLIF / bench / dot
 """
 
 from repro.network import Gate, LogicNetwork, TruthTable
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = ["Gate", "LogicNetwork", "TruthTable", "__version__"]
 
 
 def __getattr__(name):
-    if name in ("run_flow", "FlowConfig", "FlowResult"):
-        from repro import core
-
-        return getattr(core, name)
     if name in ("Pipeline", "FlowContext", "run_many", "run_table"):
         from repro import pipeline
 

@@ -46,15 +46,6 @@ from repro.sfq.multiphase import edge_dffs
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 
 
-def _Structure(netlist: SFQNetlist) -> NetlistStructure:
-    """Deprecated alias: the structure view now lives on the netlist.
-
-    The per-call fanin/fanout extraction this class performed is replaced
-    by the epoch-cached :meth:`repro.sfq.netlist.SFQNetlist.structure`.
-    """
-    return netlist.structure()
-
-
 # ---------------------------------------------------------------------------
 # true-cost evaluation (matches what DFF insertion will materialise)
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ The paper's table columns, per benchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.core.flow import FlowResult
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pipeline.context import FlowContext
 
 
 def fmt_thousands(value: int) -> str:
@@ -67,7 +68,7 @@ class TableRow:
         return self.depth_t1 / self.depth_nphi if self.depth_nphi else float("nan")
 
     @staticmethod
-    def from_results(name: str, results: Dict[str, FlowResult]) -> "TableRow":
+    def from_results(name: str, results: Dict[str, "FlowContext"]) -> "TableRow":
         one, multi, t1 = results["1phi"], results["nphi"], results["t1"]
         return TableRow(
             name=name,

@@ -30,16 +30,12 @@ from repro.network.logic_network import (
     CONST1,
     LogicNetwork,
     flat_arrays,
-    fold_gate,
 )
 from repro.network.nodemap import NodeMap
 from repro.network.traversal import live_nodes
 
 _C_PI = CODE_BY_GATE[Gate.PI]
 _C_T1_CELL = CODE_BY_GATE[Gate.T1_CELL]
-
-#: backwards-compatible alias — the folding rules now live on the kernel
-_fold_constants = fold_gate
 
 
 def sweep(net: LogicNetwork) -> Tuple[LogicNetwork, NodeMap]:

@@ -23,11 +23,7 @@ fanin tuple — it never depends on the gate, so e.g. the XOR/AND node
 pairs of half-adders share one pass.  Table composition expands each
 fanin table to the union leaf set through :func:`_spread_bits` (insert
 irrelevant variables, lowest position first), memoised under a single
-packed int key — no tuple hashing on the hot path.  When numpy is
-available (:func:`repro.util.have_numpy`), large two-fanin merge
-products take a vectorised mask lane (outer-or + popcount + unique over
-a node-local dense universe); the result is bit-identical to the pure
-loops, and ``REPRO_NO_NUMPY`` forces the fallback.
+packed int key — no tuple hashing on the hot path.
 
 Whole databases are cached per network mutation epoch by
 :func:`cached_cut_database`; :meth:`CutDatabase.remap` carries a
@@ -61,7 +57,6 @@ from repro.network.gates import (
 from repro.network.logic_network import LogicNetwork, flat_arrays
 from repro.network.traversal import topological_order
 from repro.network.truth_table import TruthTable
-from repro.util import numpy_or_none
 
 _C_CONST0 = CODE_BY_GATE[Gate.CONST0]
 _C_CONST1 = CODE_BY_GATE[Gate.CONST1]
@@ -71,13 +66,6 @@ _C_T1_CELL = CODE_BY_GATE[Gate.T1_CELL]
 _TRIVIAL_ONLY_CODES = frozenset({_C_PI, _C_T1_CELL} | T1_TAP_CODES)
 #: table bits of the trivial cut's identity function (x0 over one var)
 _TT_VAR0_BITS = TruthTable.var(0, 1).bits
-
-#: two-fanin merge products at or above this take the numpy mask lane
-#: (when numpy is importable and the node-local universe fits 63 bits).
-#: At the default ``cuts_per_node=8`` a product is at most 9*9, where
-#: the pure loops win — the lane engages only for generously configured
-#: databases; module-level so tests can force it on small products
-NUMPY_MERGE_MIN_PRODUCT = 4096
 
 
 def leaf_signature(leaves: Tuple[int, ...]) -> int:
@@ -657,57 +645,6 @@ def _compose_table(
     return TruthTable(eval_gate(gate, fanin_tts, mask) & mask, k)
 
 
-def _merge2_numpy(
-    alo: int, ahi: int, blo: int, bhi: int,
-    row_leaves: List[Tuple[int, ...]], k: int,
-) -> Optional[Dict[Tuple[int, ...], Tuple[int, ...]]]:
-    """Vectorised two-fanin merge over a node-local dense mask universe.
-
-    Returns the same ``{merged leaf tuple: (row_a, row_b)}`` dict as the
-    pure loops (first combo in (a, b) iteration order wins), or ``None``
-    when numpy is unavailable or the leaf universe exceeds 63 bits.
-    """
-    np = numpy_or_none()
-    if np is None or not hasattr(np, "bitwise_count"):
-        return None
-    universe = set()
-    for i in range(alo, ahi):
-        universe.update(row_leaves[i])
-    for i in range(blo, bhi):
-        universe.update(row_leaves[i])
-    if len(universe) > 63:
-        return None
-    ordered = sorted(universe)
-    index = {leaf: j for j, leaf in enumerate(ordered)}
-
-    def mask_of(i: int) -> int:
-        m = 0
-        for leaf in row_leaves[i]:
-            m |= 1 << index[leaf]
-        return m
-
-    na = ahi - alo
-    nb = bhi - blo
-    ma = np.fromiter((mask_of(i) for i in range(alo, ahi)),
-                     dtype=np.uint64, count=na)
-    mb = np.fromiter((mask_of(i) for i in range(blo, bhi)),
-                     dtype=np.uint64, count=nb)
-    union = np.bitwise_or.outer(ma, mb).ravel()
-    feasible = np.flatnonzero(np.bitwise_count(union) <= k)
-    uniq, first = np.unique(union[feasible], return_index=True)
-    flat = feasible[first]
-    chosen: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for mask, pos in zip(uniq.tolist(), flat.tolist()):
-        key = []
-        m = mask
-        while m:
-            low = m & -m
-            key.append(ordered[low.bit_length() - 1])
-            m ^= low
-        chosen[tuple(key)] = (alo + pos // nb, blo + pos % nb)
-    return chosen
-
-
 def _merge_spans(
     spans: Sequence[Tuple[int, int]],
     row_leaves: List[Tuple[int, ...]],
@@ -734,32 +671,27 @@ def _merge_spans(
     """
     chosen: Dict[Tuple[int, ...], Tuple[int, ...]]
     if len(spans) == 2:
-        # the dominant shape after decomposition: a hand-rolled double
-        # loop, vectorised through numpy for large products
+        # the dominant shape after decomposition: a hand-rolled double loop
         (alo, ahi), (blo, bhi) = spans
-        chosen = None
-        if (ahi - alo) * (bhi - blo) >= NUMPY_MERGE_MIN_PRODUCT:
-            chosen = _merge2_numpy(alo, ahi, blo, bhi, row_leaves, k)
-        if chosen is None:
-            chosen = {}
-            for ria in range(alo, ahi):
-                ta = row_leaves[ria]
-                sa = set(ta)
-                na = len(ta)
-                for rib in range(blo, bhi):
-                    tb = row_leaves[rib]
-                    u = sa.union(tb)
-                    lu = len(u)
-                    if lu == na:
-                        key = ta
-                    elif lu == len(tb):
-                        key = tb
-                    elif lu > k:
-                        continue
-                    else:
-                        key = tuple(sorted(u))
-                    if key not in chosen:
-                        chosen[key] = (ria, rib)
+        chosen = {}
+        for ria in range(alo, ahi):
+            ta = row_leaves[ria]
+            sa = set(ta)
+            na = len(ta)
+            for rib in range(blo, bhi):
+                tb = row_leaves[rib]
+                u = sa.union(tb)
+                lu = len(u)
+                if lu == na:
+                    key = ta
+                elif lu == len(tb):
+                    key = tb
+                elif lu > k:
+                    continue
+                else:
+                    key = tuple(sorted(u))
+                if key not in chosen:
+                    chosen[key] = (ria, rib)
     else:
         # wider gates: fold the fanin lists pairwise, pruning and
         # deduping the intermediate unions.  Unions are associative and

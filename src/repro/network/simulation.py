@@ -19,24 +19,13 @@ Two evaluation engines share one contract (bit-identical results):
   at the same level are order-independent.  The schedule is cached on
   the network per mutation epoch, so the multi-round CEC and signature
   engines pay the grouping once and then run dispatch-free rounds.
-
-When numpy is available (:func:`repro.util.have_numpy`) and the word
-width fits 64 bits, :func:`simulate` can additionally run the grouped
-schedule as vectorised uint64 gather/scatter buckets
-(``engine="numpy"`` — an explicit opt-in; ``"auto"`` resolves to the
-python kernel, which measures faster at every practical width).
-Within a bucket every target is at the bucket's level and every source
-strictly below it, so the gather-then-scatter is safe; values are
-exact uint64 words and convert back to Python ints, keeping the lane
-bit-identical to the pure-python engines (``REPRO_NO_NUMPY`` forces
-the fallback).
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.network.gates import (
@@ -47,9 +36,7 @@ from repro.network.gates import (
     is_t1_tap,
 )
 from repro.network.logic_network import LogicNetwork, flat_arrays
-from repro.network.traversal import topological_order
 from repro.network.truth_table import TruthTable
-from repro.util import numpy_or_none
 
 # -- gate-grouped schedule ---------------------------------------------------
 #
@@ -301,96 +288,6 @@ def _sim_schedule(net: LogicNetwork) -> List[tuple]:
     return schedule
 
 
-#: inverse of _RUNNERS — recover (family, inverted, aclass) per lane when
-#: deriving the numpy schedule from the cached python one
-_KEY_BY_RUNNER = {fn: key for key, fn in _RUNNERS.items()}
-
-
-def _np_schedule(net: LogicNetwork) -> List[tuple]:
-    """uint64 gather/scatter buckets, derived from the grouped schedule.
-
-    Fixed-arity lanes view the cached ``array('q')`` columns zero-copy
-    (``np.frombuffer``); variadic lanes are regrouped by exact arity so
-    every bucket is ``(family, inverted, targets, fanin columns)`` with
-    rectangular columns.  Cached per mutation epoch alongside the python
-    schedule.
-    """
-    if (
-        getattr(net, "_np_sim_schedule", None) is not None
-        and getattr(net, "_np_sim_schedule_epoch", -1) == net.epoch
-    ):
-        return net._np_sim_schedule
-    np = numpy_or_none()
-    out: List[tuple] = []
-    for runner, cols in _sim_schedule(net):
-        family, inverted, aclass = _KEY_BY_RUNNER[runner]
-        if aclass:
-            tg = np.frombuffer(cols[0], dtype=np.int64)
-            fincols = tuple(np.frombuffer(c, dtype=np.int64) for c in cols[1:])
-            out.append((family, inverted, tg, fincols))
-        else:
-            by_arity: Dict[int, List[tuple]] = {}
-            for t, nf in zip(cols[0], cols[1]):
-                by_arity.setdefault(len(nf), []).append((t, nf))
-            for d in sorted(by_arity):
-                rows = by_arity[d]
-                tg = np.array([t for t, _nf in rows], dtype=np.int64)
-                fincols = tuple(
-                    np.array([nf[i] for _t, nf in rows], dtype=np.int64)
-                    for i in range(d)
-                )
-                out.append((family, inverted, tg, fincols))
-    net._np_sim_schedule = out
-    net._np_sim_schedule_epoch = net.epoch
-    return out
-
-
-def _simulate_numpy(
-    net: LogicNetwork, pi_values: Sequence[int], width: int
-) -> List[int]:
-    """Vectorised engine: run the grouped schedule over a uint64 array.
-
-    Within a bucket all targets sit at the bucket's level and all
-    sources strictly below it, so gathering every source before
-    scattering the results is exact.  Words are at most 64 bits wide, so
-    uint64 holds them losslessly; ``tolist()`` hands back plain Python
-    ints — bit-identical to :func:`simulate_nodewise`.
-    """
-    np = numpy_or_none()
-    if np is None:
-        raise SimulationError("numpy engine requested but numpy is unavailable")
-    if width > 64:
-        raise SimulationError(
-            f"numpy engine supports width <= 64, got {width}"
-        )
-    seeded, mask = _seed_values(net, pi_values, width)
-    values = np.array(seeded, dtype=np.uint64)
-    m = np.uint64(mask)
-    for family, inverted, tg, fincols in _np_schedule(net):
-        if family == "copy":
-            res = values[fincols[0]]
-        elif family == "maj":
-            a = values[fincols[0]]
-            b = values[fincols[1]]
-            c = values[fincols[2]]
-            res = (a & b) | (a & c) | (b & c)
-        else:
-            res = values[fincols[0]]
-            if family == "and":
-                for fc in fincols[1:]:
-                    res = res & values[fc]
-            elif family == "or":
-                for fc in fincols[1:]:
-                    res = res | values[fc]
-            else:  # xor
-                for fc in fincols[1:]:
-                    res = res ^ values[fc]
-        if inverted:
-            res = res ^ m
-        values[tg] = res
-    return values.tolist()
-
-
 def _seed_values(
     net: LogicNetwork, pi_values: Sequence[int], width: int
 ) -> Tuple[List[int], int]:
@@ -413,7 +310,6 @@ def simulate(
     pi_values: Sequence[int],
     width: int,
     order: Optional[Sequence[int]] = None,
-    engine: str = "auto",
 ) -> List[int]:
     """Simulate the whole network.
 
@@ -427,25 +323,11 @@ def simulate(
         Optional explicit topological order.  When given, evaluation
         falls back to the per-node loop over exactly those nodes; the
         default runs the gate-grouped kernel over the whole network.
-    engine:
-        ``"python"`` runs the big-int gate-grouped kernel and
-        ``"numpy"`` forces the vectorised uint64 lane (raises when
-        numpy is unavailable or ``width > 64``); both are
-        bit-identical.  ``"auto"`` (default) resolves to the python
-        kernel: measured on the 100k--1M-node synthetics, the big-int
-        zip loops beat the numpy gather/scatter at every practical
-        width (the level-partitioned buckets are too fine-grained for
-        numpy's per-call overhead), so the numpy lane is an explicit
-        opt-in — bench_scale reports the live ratio.
 
     Returns the list of node values (indexed by node id).
     """
-    if engine not in ("auto", "python", "numpy"):
-        raise SimulationError(f"unknown simulation engine: {engine!r}")
     if order is not None:
         return simulate_nodewise(net, pi_values, width, order)
-    if engine == "numpy":
-        return _simulate_numpy(net, pi_values, width)
     values, mask = _seed_values(net, pi_values, width)
     for runner, cols in _sim_schedule(net):
         runner(values, mask, *cols)

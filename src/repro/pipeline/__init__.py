@@ -1,7 +1,6 @@
 """repro.pipeline — the composable pass-manager flow API (primary API).
 
-The monolithic ``repro.core.flow.run_flow`` is retained as a thin shim;
-new code composes flows from passes::
+The one way to run the flow; flows are composed from passes::
 
     from repro.circuits import build
     from repro.pipeline import Pipeline

@@ -28,8 +28,8 @@ class BalancePass:
     """Depth-rebalance associative trees (optional, before detection).
 
     Depth equals DFFs in gate-level-pipelined SFQ, so rebalancing is an
-    area optimisation here; insert it after ``decompose`` to reproduce
-    ``FlowConfig(balance_network=True)``.
+    area optimisation here; insert it after ``decompose``, as
+    ``Pipeline.standard(balance_network=True)`` does.
     """
 
     name: str = "balance"

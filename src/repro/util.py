@@ -1,57 +1,8 @@
-"""Small shared runtime utilities: optional-dependency capability probes.
-
-The kernels are pure-python by contract; numpy is an *optional*
-accelerator lane (simulation buckets, wide cut-signature merges) that
-must fall back bit-identically when absent.  All numpy gating goes
-through :func:`have_numpy` / :func:`numpy_or_none` so the fallback path
-stays testable on machines where numpy *is* installed: setting the
-``REPRO_NO_NUMPY`` environment variable (to anything non-empty) makes
-both probes report "absent" — the CI matrix leg uses exactly this to
-exercise and ratchet the pure-python path.
-"""
+"""Small shared runtime utilities."""
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-#: env var that force-disables the numpy lanes (any non-empty value)
-NO_NUMPY_ENV = "REPRO_NO_NUMPY"
-
-_numpy_mod = None
-_probed = False
-
-
-def numpy_or_none():
-    """The ``numpy`` module, or ``None`` when unavailable or disabled.
-
-    The import probe runs once per process; the ``REPRO_NO_NUMPY``
-    override is honoured on every call (tests flip it at runtime).
-    """
-    global _numpy_mod, _probed
-    if os.environ.get(NO_NUMPY_ENV):
-        return None
-    if not _probed:
-        try:
-            import numpy  # noqa: PLC0415 - optional capability probe
-
-            _numpy_mod = numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            _numpy_mod = None
-        _probed = True
-    return _numpy_mod
-
-
-def have_numpy() -> bool:
-    """True when the optional numpy lanes may be used."""
-    return numpy_or_none() is not None
-
-
-def reset_numpy_probe() -> None:
-    """Forget the cached import probe (test helper)."""
-    global _numpy_mod, _probed
-    _numpy_mod = None
-    _probed = False
+import sys
 
 
 def getsizeof_deep_rows(containers, items) -> int:
@@ -63,8 +14,6 @@ def getsizeof_deep_rows(containers, items) -> int:
     Shared leaf integers inside tuples are intentionally not counted —
     they are interned node ids shared across rows.
     """
-    import sys
-
     gs = sys.getsizeof
     total = sum(gs(c) for c in containers)
     for it in items:
@@ -73,10 +22,4 @@ def getsizeof_deep_rows(containers, items) -> int:
     return total
 
 
-__all__ = [
-    "NO_NUMPY_ENV",
-    "have_numpy",
-    "numpy_or_none",
-    "reset_numpy_probe",
-    "getsizeof_deep_rows",
-]
+__all__ = ["getsizeof_deep_rows"]

@@ -10,7 +10,6 @@ from repro.core.phase_assignment import (
     assign_stages_heuristic,
     assign_stages_ilp,
     t1_lower_bound,
-    _Structure,
 )
 from repro.metrics import measure
 
@@ -48,7 +47,7 @@ class TestAsap:
     def test_levels_like(self):
         net = chain_net(4)
         nl, _ = map_to_sfq(net, n_phases=4)
-        st = _Structure(nl)
+        st = nl.structure()
         stages = asap_stages(st)
         clocked = [c for c in nl.cells if c.clocked]
         got = sorted(stages[c.index] for c in clocked)
@@ -56,7 +55,7 @@ class TestAsap:
 
     def test_t1_gets_eq3_offset(self):
         nl, _ = map_to_sfq(t1_net(), n_phases=4)
-        st = _Structure(nl)
+        st = nl.structure()
         stages = asap_stages(st)
         t1 = next(c for c in nl.t1_cells())
         assert stages[t1.index] == 3
@@ -81,7 +80,7 @@ class TestHeuristic:
 
         net, _ = strash(net)
         nl, _ = map_to_sfq(net, n_phases=4)
-        st = _Structure(nl)
+        st = nl.structure()
         asap = asap_stages(st)
         # cost with raw ASAP
         nl_asap, _ = map_to_sfq(net, n_phases=4)

@@ -97,9 +97,9 @@ class TestDot:
         assert "triangle" in text
 
     def test_netlist_dot_with_stages(self):
-        from repro.core import FlowConfig, run_flow
+        from repro.pipeline import Pipeline
 
-        res = run_flow(ripple_carry_adder(3), FlowConfig(verify="none"))
+        res = Pipeline.standard(verify="none").run(ripple_carry_adder(3))
         text = dumps_netlist_dot(res.netlist)
         assert "σ=" in text
         assert "rank=same" in text

@@ -92,11 +92,13 @@ class TestRefactor:
 
     def test_adder_through_aig_pipeline_flow(self):
         """The A5 scenario: generator -> AIG -> refactor -> T1 flow."""
-        from repro.core import FlowConfig, run_flow
+        from repro.pipeline import Pipeline
 
         net = ripple_carry_adder(6)
         aig = to_aig_form(net)
         opt, _ = refactor(aig)
-        res = run_flow(opt, FlowConfig(n_phases=4, use_t1=True, verify="none"))
+        res = Pipeline.standard(
+            n_phases=4, use_t1=True, verify="none"
+        ).run(opt)
         assert res.t1_used > 0
-        assert check_equivalence(net, res.logic_network).equivalent
+        assert check_equivalence(net, res.network).equivalent

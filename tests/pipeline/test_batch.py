@@ -1,9 +1,8 @@
-"""run_many / run_table: ordering, parallel determinism, shim parity."""
+"""run_many / run_table: ordering, parallel determinism, row parity."""
 
 import pytest
 
 from repro.circuits import TABLE1_ORDER, build, ripple_carry_adder
-from repro.core import run_baselines_and_t1
 from repro.errors import PipelineError
 from repro.pipeline import (
     Pipeline,
@@ -12,6 +11,7 @@ from repro.pipeline import (
     run_table,
     warm_worker,
 )
+from repro.pipeline.batch import BASELINE_LABELS
 
 
 class TestRunMany:
@@ -64,14 +64,28 @@ class TestRunTable:
         assert serial.format() == parallel.format()
         assert serial.as_dicts() == parallel.as_dicts()
 
-    def test_row_matches_legacy_shim(self):
+    def test_row_matches_direct_runs(self):
+        """A run_table row equals the three flows run one by one."""
         net = build("adder", "ci")
-        legacy = run_baselines_and_t1(net, n_phases=4, verify="none")
+        pipes = baseline_pipelines(n_phases=4, verify="none")
+        direct = dict(zip(
+            BASELINE_LABELS,
+            run_many([(net, pipes[label]) for label in BASELINE_LABELS]),
+        ))
         table = run_table(["adder"], preset="ci")
         row = table.rows[0]
-        assert row.dff_t1 == legacy["t1"].num_dffs
-        assert row.area_1phi == legacy["1phi"].area_jj
-        assert row.depth_nphi == legacy["nphi"].depth_cycles
+        assert (row.t1_found, row.t1_used) == (
+            direct["t1"].t1_found, direct["t1"].t1_used
+        )
+        assert (row.dff_1phi, row.dff_nphi, row.dff_t1) == tuple(
+            direct[label].num_dffs for label in BASELINE_LABELS
+        )
+        assert (row.area_1phi, row.area_nphi, row.area_t1) == tuple(
+            direct[label].area_jj for label in BASELINE_LABELS
+        )
+        assert (row.depth_1phi, row.depth_nphi, row.depth_t1) == tuple(
+            direct[label].depth_cycles for label in BASELINE_LABELS
+        )
 
     def test_progress_callback(self):
         seen = []
@@ -86,13 +100,6 @@ class TestBaselinePipelines:
         assert "t1_detect" in pipes["t1"].names()
         assert "t1_detect" not in pipes["1phi"].names()
         assert "t1_detect" not in pipes["nphi"].names()
-
-    def test_shim_jobs_parity(self):
-        net = build("c6288", "ci")
-        serial = run_baselines_and_t1(net, verify="none")
-        pooled = run_baselines_and_t1(net, verify="none", jobs=2)
-        for label in serial:
-            assert serial[label].metrics == pooled[label].metrics
 
 
 class TestWarmWorker:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.circuits import ripple_carry_adder
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq.clock_tree import (
     clock_overhead_ratio,
     plan_clock_network,
@@ -15,10 +15,9 @@ from repro.metrics import area_jj
 
 
 def staged_netlist(n=4, bits=8, use_t1=False):
-    return run_flow(
-        ripple_carry_adder(bits),
-        FlowConfig(n_phases=n, use_t1=use_t1, verify="none"),
-    ).netlist
+    return Pipeline.standard(
+        n_phases=n, use_t1=use_t1, verify="none"
+    ).run(ripple_carry_adder(bits)).netlist
 
 
 class TestPlan:

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.circuits import ripple_carry_adder
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.sfq.energy import PHI0_WB, EnergyModel, EnergyReport, estimate_energy
 
 
 def netlist_for(bits=8, use_t1=False):
-    return run_flow(
-        ripple_carry_adder(bits),
-        FlowConfig(n_phases=4, use_t1=use_t1, verify="none"),
-    ).netlist
+    return Pipeline.standard(
+        n_phases=4, use_t1=use_t1, verify="none"
+    ).run(ripple_carry_adder(bits)).netlist
 
 
 class TestModel:

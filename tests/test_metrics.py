@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import ripple_carry_adder
-from repro.core import FlowConfig, run_flow
+from repro.pipeline import Pipeline
 from repro.metrics import area_jj, count_splitters, measure
 from repro.network import Gate, LogicNetwork
 from repro.sfq import SFQNetlist, default_library, map_to_sfq
@@ -58,7 +58,7 @@ def test_const_cells_free():
 
 def test_measure_consistency_with_flow():
     net = ripple_carry_adder(8)
-    res = run_flow(net, FlowConfig(verify="none"))
+    res = Pipeline.standard(verify="none").run(net)
     m = res.metrics
     assert m.num_dffs == res.netlist.num_dffs()
     assert m.area_jj == area_jj(res.netlist)
@@ -70,7 +70,7 @@ def test_measure_consistency_with_flow():
 
 def test_depth_uses_max_stage():
     net = ripple_carry_adder(8)
-    res = run_flow(net, FlowConfig(n_phases=4, use_t1=False, verify="none"))
+    res = Pipeline.standard(n_phases=4, use_t1=False, verify="none").run(net)
     import math
 
     assert res.metrics.depth_cycles == math.ceil(

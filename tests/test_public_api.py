@@ -1,9 +1,15 @@
 """Public-API stability: every exported name resolves and is documented."""
 
+import ast
 import importlib
 import inspect
+import re
+import sys
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -24,9 +30,7 @@ def test_all_exports_resolve(package):
     mod = importlib.import_module(package)
     exported = getattr(mod, "__all__", [])
     for name in exported:
-        assert hasattr(mod, name) or name in (
-            "run_flow", "FlowConfig", "FlowResult",  # lazy in repro/__init__
-        ), f"{package}.{name} missing"
+        assert hasattr(mod, name), f"{package}.{name} missing"
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -46,8 +50,6 @@ def test_public_callables_documented(package):
 def test_lazy_top_level_attributes():
     import repro
 
-    assert callable(repro.run_flow)
-    assert repro.FlowConfig is not None
     assert callable(repro.run_many)
     assert repro.Pipeline.standard().names()
     assert "adder" in repro.benchmark_registry
@@ -69,3 +71,30 @@ def test_cli_entry_point_configured():
     with open("pyproject.toml", "rb") as fh:
         meta = tomllib.load(fh)
     assert meta["project"]["scripts"]["repro-flow"] == "repro.cli:main"
+
+
+def _import_roots(path: Path):
+    """Root module of every absolute import in *path*, nested ones too."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_every_import_is_declared():
+    """The package imports only the stdlib, itself and declared deps."""
+    import tomllib
+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in deps}
+    allowed = set(sys.stdlib_module_names) | {"repro"} | declared
+    undeclared = [
+        f"{path.relative_to(REPO)}:{lineno}: {root}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for root, lineno in _import_roots(path)
+        if root not in allowed
+    ]
+    assert not undeclared, undeclared
