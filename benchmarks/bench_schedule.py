@@ -12,7 +12,12 @@ trajectory started by ``bench_kernel.py``:
   one seed-style ``local_cost`` rescan on the largest registry netlist;
 * **ILP model build** — time to build the §II-B model on the
   :class:`~repro.solvers.model.SolverModel` IR and lower it to the MILP
-  backend (small circuit, the exact path of ``method="auto"``).
+  backend (small circuit, the exact path of ``method="auto"``);
+* **scale** — the kernel heuristic on mapped ``datapath`` synthetics
+  (2k/4k/8k nodes, plus 20k in the full run): cells, PO nets, seconds,
+  probes (``moves_evaluated``) and ``_net_term_cost`` calls per probe.
+  The call count is deterministic; it stays flat as the PO count grows
+  only while a boundary-shifting probe avoids repricing every PO net.
 
 Contract (the CI gate): *invariant* failures exit non-zero —
 
@@ -21,18 +26,21 @@ Contract (the CI gate): *invariant* failures exit non-zero —
 * the kernel's maintained cost terms must match a from-scratch
   recomputation after the sweeps (``StageSchedule.check_invariants``).
 
+With ``--ratchet`` the run also fails when any scale point makes more
+than :data:`RATCHET_CALLS_PER_PROBE` net-term evaluations per probe.
 Timing numbers are recorded, never asserted: wall-clock noise must not
 fail a pipeline.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_schedule.py            # paper scale
-    PYTHONPATH=src python benchmarks/bench_schedule.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/bench_schedule.py --quick --ratchet  # CI
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import platform
 import sys
@@ -40,6 +48,8 @@ import time
 from pathlib import Path
 
 from repro.circuits.registry import TABLE1_ORDER, build
+from repro.circuits.synthetic import build_synthetic
+from repro.core import schedule as schedule_module
 from repro.core.phase_assignment import (
     assign_stages_heuristic,
     assign_stages_rescan_reference,
@@ -53,11 +63,23 @@ from repro.pipeline.context import FlowContext
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+#: datapath sizes (nodes) of the scale section; the full run adds 20k
+SCALE_NODES_QUICK = (2_000, 4_000, 8_000)
+SCALE_NODES_FULL = SCALE_NODES_QUICK + (20_000,)
+#: --ratchet ceiling on _net_term_cost calls per probe (3.2-3.4 measured;
+#: repricing every PO net on a boundary shift made it 21-26)
+RATCHET_CALLS_PER_PROBE = 5.0
+
 
 def mapped_netlist(name: str, preset: str):
+    """Registry circuit *name* at *preset*, mapped (see :func:`mapped`)."""
+    return mapped(build(name, preset), name)
+
+
+def mapped(source, name: str):
     """Standard pipeline up to (excluding) phase assignment."""
     pipe = Pipeline.standard(n_phases=4, use_t1=True, verify="none")
-    ctx = FlowContext(source=build(name, preset), name=name, verify="none")
+    ctx = FlowContext(source=source, name=name, verify="none")
     for p in pipe.passes:
         if p.name == "phase_assign":
             break
@@ -167,6 +189,63 @@ def bench_delta_probe(preset, failures):
     }
 
 
+def bench_datapath_scale(sizes, failures):
+    """Kernel heuristic on mapped datapath synthetics of growing size.
+
+    Each size runs twice on copies of the same mapped netlist: once
+    timed, once with ``_net_term_cost`` wrapped in a call counter (the
+    count is deterministic; the wrapper would inflate the time).
+    """
+    out = {}
+    real = schedule_module._net_term_cost
+    for n_nodes in sizes:
+        source = build_synthetic("datapath", n_nodes, 0)
+        name = f"datapath_{n_nodes}"
+        nl = mapped(source, name)
+        counted = copy.deepcopy(nl)
+        t0 = time.perf_counter()
+        report = assign_stages_heuristic(nl)
+        seconds = time.perf_counter() - t0
+
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        schedule_module._net_term_cost = counting
+        try:
+            counted_report = assign_stages_heuristic(counted)
+        finally:
+            schedule_module._net_term_cost = real
+        if [c.stage for c in counted.cells] != [c.stage for c in nl.cells]:
+            failures.append(f"scale:{name}: repeated run diverged")
+        probes = counted_report.moves_evaluated
+        out[name] = {
+            "nodes": n_nodes,
+            "cells": len(nl.cells),
+            "po_nets": len(nl.structure().po_signals),
+            "seconds": round(seconds, 4),
+            "moves_evaluated": report.moves_evaluated,
+            "moves_applied": report.moves_applied,
+            "net_term_calls": calls,
+            "net_term_calls_per_probe": round(calls / probes, 2) if probes else None,
+        }
+    return out
+
+
+def check_ratchet(scale):
+    """Ratchet violations: scale points above the calls-per-probe ceiling."""
+    return [
+        f"ratchet:{name}: {entry['net_term_calls_per_probe']} _net_term_cost "
+        f"calls per probe > {RATCHET_CALLS_PER_PROBE}"
+        for name, entry in scale.items()
+        if entry["net_term_calls_per_probe"] is not None
+        and entry["net_term_calls_per_probe"] > RATCHET_CALLS_PER_PROBE
+    ]
+
+
 def bench_ilp_model_build(preset):
     """IR build time of the §II-B exact model on a small netlist."""
     nl = mapped_netlist("adder" if preset == "ci" else "c6288", "ci")
@@ -191,11 +270,21 @@ def main(argv=None) -> int:
         "--out", default=str(REPO_ROOT / "BENCH_schedule.json"),
         help="output JSON path (default: BENCH_schedule.json at repo root)",
     )
+    parser.add_argument(
+        "--ratchet", action="store_true",
+        help=(
+            "fail when a scale point exceeds "
+            f"{RATCHET_CALLS_PER_PROBE:g} _net_term_cost calls per probe"
+        ),
+    )
     args = parser.parse_args(argv)
 
     preset = "ci" if args.quick else "paper"
     circuits = list(TABLE1_ORDER)
+    sizes = SCALE_NODES_QUICK if args.quick else SCALE_NODES_FULL
     failures: list = []
+    scale = bench_datapath_scale(sizes, failures)
+    ratchet_failures = check_ratchet(scale)
     report = {
         "meta": {
             "preset": preset,
@@ -206,6 +295,12 @@ def main(argv=None) -> int:
         "heuristic": bench_heuristic(circuits, preset, failures),
         "delta_probe": bench_delta_probe(preset, failures),
         "ilp_model_build": bench_ilp_model_build(preset),
+        "scale": scale,
+        "ratchet": {
+            "max_net_term_calls_per_probe": RATCHET_CALLS_PER_PROBE,
+            "ok": not ratchet_failures,
+            "failures": ratchet_failures,
+        },
         "invariants_ok": not failures,
         "invariant_failures": failures,
     }
@@ -225,12 +320,24 @@ def main(argv=None) -> int:
         f"{probe['delta_seconds_per_probe']:.2e}s vs rescan "
         f"{probe['rescan_seconds_per_probe']:.2e}s ({probe['speedup']}x)"
     )
+    for name, entry in scale.items():
+        print(
+            f"scale {name:<15} {entry['cells']} cells, {entry['po_nets']} PO "
+            f"nets: {entry['seconds']:.3f}s, {entry['moves_evaluated']} probes, "
+            f"{entry['net_term_calls_per_probe']} net-term calls/probe"
+        )
+    status = 0
     if failures:
         print("SCHEDULE KERNEL INVARIANT FAILURES:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if args.ratchet and ratchet_failures:
+        print("SCHEDULE RATCHET FAILURES:", file=sys.stderr)
+        for f in ratchet_failures:
+            print(f"  {f}", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

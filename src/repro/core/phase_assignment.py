@@ -239,10 +239,11 @@ def assign_stages_heuristic(
             # the seed's local comparison key: INF while any term incident
             # to x is infeasible, the finite cost sum otherwise
             best_cost = INF if inc_inf else g_fin
-            for cand in sorted(cands):
-                if cand == current:
-                    continue
-                c_inf, c_fin = kernel.state_if_moved(x, cand)
+            cands.discard(current)
+            order = sorted(cands)
+            for cand, (c_inf, c_fin) in zip(
+                order, kernel.states_if_moved(x, order)
+            ):
                 cost = INF if inc_inf + (c_inf - g_inf) else c_fin
                 if cost < best_cost - 1e-9:
                     best_cost = cost
@@ -481,6 +482,20 @@ AUTO_ILP_MAX_T1 = 4
 AUTO_TIME_BUDGET_S = 10.0
 
 
+def _heuristic_info(
+    report: HeuristicReport, degraded: bool = False, reason: Optional[str] = None
+) -> Dict[str, object]:
+    """:func:`assign_stages` info dict of a heuristic run."""
+    return {
+        "method": "heuristic",
+        "degraded": degraded,
+        "reason": reason,
+        "sweeps_run": report.sweeps_run,
+        "moves_evaluated": report.moves_evaluated,
+        "moves_applied": report.moves_applied,
+    }
+
+
 def assign_stages(
     netlist: SFQNetlist,
     method: str = "heuristic",
@@ -500,8 +515,10 @@ def assign_stages(
     Returns an info dict: ``method`` ("heuristic" or "ilp") is the
     engine that produced the committed stages, ``degraded`` is True only
     when the exact engine was attempted and fell back, and ``reason``
-    says why.  The ``solver.exact`` fault point (see
-    :mod:`repro.faults`) forces that fallback deterministically.
+    says why.  When the heuristic ran, the dict also carries its
+    ``sweeps_run``, ``moves_evaluated`` and ``moves_applied``.  The
+    ``solver.exact`` fault point (see :mod:`repro.faults`) forces that
+    fallback deterministically.
 
     Note that the two engines optimise different objectives: the ILP is
     exact on the per-edge proxy Σ(k_e − 1) with PIs pinned at stage 0,
@@ -509,8 +526,7 @@ def assign_stages(
     ``free_pi_phases``) do not apply on the exact branch.
     """
     if method == "heuristic":
-        assign_stages_heuristic(netlist, **kwargs)
-        return {"method": "heuristic", "degraded": False, "reason": None}
+        return _heuristic_info(assign_stages_heuristic(netlist, **kwargs))
     elif method == "ilp":
         assign_stages_ilp(netlist, **kwargs)
         return {"method": "ilp", "degraded": False, "reason": None}
@@ -555,9 +571,9 @@ def assign_stages(
                     "exact search budget exhausted with unproven incumbent"
                 )
             # budget exhausted (unproven incumbent or none) -> heuristic
-            assign_stages_heuristic(netlist, **heur_kwargs)
-            return {"method": "heuristic", "degraded": True, "reason": reason}
-        assign_stages_heuristic(netlist, **heur_kwargs)
-        return {"method": "heuristic", "degraded": False, "reason": None}
+            return _heuristic_info(
+                assign_stages_heuristic(netlist, **heur_kwargs), True, reason
+            )
+        return _heuristic_info(assign_stages_heuristic(netlist, **heur_kwargs))
     else:
         raise SolverError(f"unknown phase-assignment method {method!r}")

@@ -19,13 +19,19 @@ the cost terms instead, exploiting two structural facts:
 * the PO boundary is ``max stage + 1``, so a maintained stage histogram
   keeps it current across moves instead of once per sweep (the seed's
   per-sweep snapshot let `local_cost` price PO balancing against a stale
-  boundary).
+  boundary);
+* a boundary shift b0 → b1 reprices *every* PO net, but the sum of the
+  feasible PO-net terms depends only on b once the stages are fixed.
+  The kernel caches that sum, ``P(b)``, per boundary value it has been
+  asked about and keeps each entry current across moves, so a probe
+  that shifts the boundary adds ``P(b1) − P(b0)`` instead of looping
+  over all #PO nets.
 
 :meth:`cost_if_moved` prices a candidate without mutating anything;
-:meth:`apply_move` commits it.  Both touch only the terms incident to
-the moved cell (plus the PO terms when the boundary itself shifts), so a
-sweep costs O(moves × changed terms) instead of
-O(moves × candidates × incident-edges).
+:meth:`apply_move` commits it.  A probe touches only the terms incident
+to the moved cell, so a sweep costs O(moves × changed terms) instead of
+O(moves × candidates × incident-edges); an applied move additionally
+restores the stored PO terms when it shifts the boundary.
 
 The T1 staggering cost is memoised *per kernel instance* (the memo dies
 with the schedule), unlike the seed's unbounded module-global cache.
@@ -198,6 +204,8 @@ class StageSchedule:
         self.moves_evaluated = 0
         self.moves_applied = 0
         self._t1_memo: Dict[Tuple[Tuple[int, ...], int], float] = {}
+        # P(b) per probed PO boundary b (see _po_total)
+        self._po_totals: Dict[int, float] = {}
 
         cells = netlist.cells
         # consumer-stage multiset per net + consumer multiplicity per net
@@ -349,102 +357,69 @@ class StageSchedule:
         return INF if inf else fin
 
     def state_if_moved(self, x: int, s: int) -> Tuple[int, float]:
-        """:meth:`state` if cell *x* moved to stage *s* (no mutation).
+        """:meth:`state` if cell *x* moved to stage *s* (no mutation)."""
+        return self.states_if_moved(x, (s,))[0]
 
-        O(terms incident to x); O(+ #PO nets) only when the move shifts
-        the PO boundary itself.
+    def states_if_moved(
+        self, x: int, candidates: Sequence[int]
+    ) -> List[Tuple[int, float]]:
+        """:meth:`state` for each candidate stage of cell *x* (no mutation).
+
+        Each probe costs O(terms incident to x); the per-cell lookups are
+        made once for all candidates.  A probe that shifts the PO
+        boundary from b0 to b1 prices every PO net it does not touch
+        through the cached per-boundary totals, ``P(b1) − P(b0)``, so it
+        costs amortised O(terms incident to x) as well rather than
+        O(#PO nets).
         """
-        s0 = self.stages[x]
-        if s == s0:
-            return self.state()
-        self.moves_evaluated += 1
+        if not candidates:
+            return []
         st = self.st
         stages = self.stages
         n = self.n
-        inf = self._inf_terms
-        fin = self._finite
+        s0 = stages[x]
+        inf0 = self._inf_terms
+        fin0 = self._finite
         b0 = self.boundary()
-        b1 = b0
-        if self.include_po and st.clocked[x]:
-            b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
+        moves_boundary = self.include_po and st.clocked[x]
         po_signals = st.po_signals
-        seen: Set[Signal] = set()
-        # nets driven by x: only the driver stage changes
-        for sig in st.signals_of_cell[x]:
-            seen.add(sig)
-            bag = self._bags[sig]
-            new = _net_term_cost(
-                s, bag.mn, bag.mx, b1 if sig in po_signals else None, n
-            )
-            old = self._net_cost[sig]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
-        # nets x consumes: one consumer entry moves in the stage multiset
-        for sig, k in self._consumed[x].items():
-            seen.add(sig)
-            bag = self._bags[sig]
-            mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
-            new = _net_term_cost(
-                stages[sig[0]],  # type: ignore[arg-type]
-                mn,
-                mx,
-                b1 if sig in po_signals else None,
-                n,
-            )
-            old = self._net_cost[sig]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
+        net_cost = self._net_cost
+        bags = self._bags
+        t1_cost = self._t1_cost
+        fanin_drivers = st.fanin_drivers
+        # nets driven by x (only the driver stage changes) and nets x
+        # consumes (one consumer entry moves in the stage multiset)
+        driven = [
+            (bags[sig], sig in po_signals, net_cost[sig])
+            for sig in st.signals_of_cell[x]
+        ]
+        consumed = [
+            (bags[sig], k, stages[sig[0]], sig in po_signals, net_cost[sig])
+            for sig, k in self._consumed[x].items()
+        ]
         # T1 terms fed by x (and x's own term when x is a T1)
-        for t in st.t1_consumers[x]:
-            fins = [s if d == x else stages[d] for d in st.fanin_drivers[t]]
-            new = self._t1(stages[t], fins)  # type: ignore[arg-type]
-            old = self._t1_cost[t]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
-        if st.is_t1[x]:
-            fins = [stages[d] for d in st.fanin_drivers[x]]
-            new = self._t1(s, fins)  # type: ignore[arg-type]
-            old = self._t1_cost[x]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
-        # boundary shift reprices every remaining PO net
-        if b1 != b0:
-            for sig in po_signals:
-                if sig in seen:
-                    continue
-                bag = self._bags[sig]
+        t1_fed = [
+            (stages[t], fanin_drivers[t], t1_cost[t])
+            for t in st.t1_consumers[x]
+        ]
+        own_fins = (
+            [stages[d] for d in fanin_drivers[x]] if st.is_t1[x] else None
+        )
+        out: List[Tuple[int, float]] = []
+        for s in candidates:
+            if s == s0:
+                out.append((inf0, fin0))
+                continue
+            self.moves_evaluated += 1
+            inf = inf0
+            fin = fin0
+            b1 = b0
+            if moves_boundary:
+                b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
+            for bag, is_po, old in driven:
                 new = _net_term_cost(
-                    stages[sig[0]], bag.mn, bag.mx, b1, n  # type: ignore[arg-type]
+                    s, bag.mn, bag.mx, b1 if is_po else None, n
                 )
-                old = self._net_cost[sig]
                 if old != new:
                     if old == INF:
                         inf -= 1
@@ -454,7 +429,94 @@ class StageSchedule:
                         inf += 1
                     else:
                         fin += new
-        return inf, fin
+            for bag, k, ds, is_po, old in consumed:
+                mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
+                new = _net_term_cost(ds, mn, mx, b1 if is_po else None, n)
+                if old != new:
+                    if old == INF:
+                        inf -= 1
+                    else:
+                        fin -= old
+                    if new == INF:
+                        inf += 1
+                    else:
+                        fin += new
+            for t_stage, drivers, old in t1_fed:
+                new = self._t1(
+                    t_stage, [s if d == x else stages[d] for d in drivers]  # type: ignore[misc]
+                )
+                if old != new:
+                    if old == INF:
+                        inf -= 1
+                    else:
+                        fin -= old
+                    if new == INF:
+                        inf += 1
+                    else:
+                        fin += new
+            if own_fins is not None:
+                old = t1_cost[x]
+                new = self._t1(s, own_fins)  # type: ignore[arg-type]
+                if old != new:
+                    if old == INF:
+                        inf -= 1
+                    else:
+                        fin -= old
+                    if new == INF:
+                        inf += 1
+                    else:
+                        fin += new
+            # boundary shift: every feasible PO net moves from its b0 term
+            # to its b1 term.  P(b1) − P(b0) covers them all; the nets
+            # repriced above already counted their move, so take theirs
+            # back out.  Infeasible PO nets stay infeasible at any b.
+            if b1 != b0:
+                fin += self._po_total(b1) - self._po_total(b0)  # type: ignore[arg-type]
+                for bag, is_po, old in driven:
+                    if is_po and old != INF:
+                        fin -= _net_term_cost(s0, bag.mn, bag.mx, b1, n) - old  # type: ignore[arg-type]
+                for bag, _k, ds, is_po, old in consumed:
+                    if is_po and old != INF:
+                        fin -= _net_term_cost(ds, bag.mn, bag.mx, b1, n) - old
+            out.append((inf, fin))
+        return out
+
+    def _po_total(self, b: int) -> float:
+        """P(b): the feasible PO-net terms priced against boundary *b*.
+
+        Computed once per boundary value and then kept current by
+        :meth:`apply_move` (never cleared).  Terms are whole numbers, so
+        the cached sum is exact whatever order it was accumulated in.
+        """
+        tot = self._po_totals.get(b)
+        if tot is None:
+            stages = self.stages
+            bags = self._bags
+            net_cost = self._net_cost
+            n = self.n
+            tot = 0.0
+            for sig in self.st.po_signals:
+                if net_cost[sig] != INF:
+                    bag = bags[sig]
+                    tot += _net_term_cost(
+                        stages[sig[0]], bag.mn, bag.mx, b, n  # type: ignore[arg-type]
+                    )
+            self._po_totals[b] = tot
+        return tot
+
+    def _shift_po_totals(self, sigs: Sequence[Signal], sign: float) -> None:
+        """Add (sign=1) or remove (sign=-1) *sigs*' terms in every P(b)."""
+        totals = self._po_totals
+        stages = self.stages
+        n = self.n
+        for sig in sigs:
+            if self._net_cost[sig] == INF:
+                continue
+            bag = self._bags[sig]
+            ds = stages[sig[0]]
+            mn, mx = bag.mn, bag.mx
+            for b in totals:
+                totals[b] += sign * _net_term_cost(ds, mn, mx, b, n)  # type: ignore[arg-type]
 
     def apply_move(self, x: int, s: int) -> None:
         """Commit the move of cell *x* to stage *s*, updating every term."""
@@ -478,12 +540,15 @@ class StageSchedule:
             elif s0 == self._max_clocked and s0 not in counts:
                 self._max_clocked = max(counts)
         b1 = self.boundary()
+        po_signals = st.po_signals
+        touched_po: List[Signal] = []
+        if self._po_totals:
+            touched_po = [sig for sig in st.signals_of_cell[x] if sig in po_signals]
+            touched_po += [sig for sig in self._consumed[x] if sig in po_signals]
+            self._shift_po_totals(touched_po, -1.0)
         self.stages[x] = s
         stages = self.stages
-        po_signals = st.po_signals
-        seen: Set[Signal] = set()
         for sig in st.signals_of_cell[x]:
-            seen.add(sig)
             bag = self._bags[sig]
             self._set_net_cost(
                 sig,
@@ -492,7 +557,6 @@ class StageSchedule:
                 ),
             )
         for sig, k in self._consumed[x].items():
-            seen.add(sig)
             bag = self._bags[sig]
             bag.remove(s0, k)  # type: ignore[arg-type]
             bag.add(s, k)
@@ -512,10 +576,11 @@ class StageSchedule:
         if st.is_t1[x]:
             fins = [stages[d] for d in st.fanin_drivers[x]]
             self._set_t1_cost(x, self._t1(s, fins))  # type: ignore[arg-type]
+        self._shift_po_totals(touched_po, 1.0)
         if b1 != b0:
+            # reprice the stored PO terms against the new boundary (the
+            # touched nets already carry their b1 term: no-op for them)
             for sig in po_signals:
-                if sig in seen:
-                    continue
                 bag = self._bags[sig]
                 self._set_net_cost(
                     sig,
@@ -527,10 +592,9 @@ class StageSchedule:
     def _set_term_cost(self, store: Dict, key, new: float) -> None:
         """Replace one cost term in *store*, adjusting the running totals.
 
-        The same inf-count/finite-sum adjustment is inlined (on local
-        accumulators) in :meth:`state_if_moved`'s probe loops — keep the
-        two in lockstep or the maintained total diverges from
-        :meth:`recompute_total`.
+        :meth:`state_if_moved` inlines the same inf-count/finite-sum
+        adjustment on local accumulators; :meth:`check_invariants` catches
+        any divergence between the two.
         """
         old = store[key]
         if old == new:
@@ -601,7 +665,8 @@ class StageSchedule:
         """Raise TimingError when a maintained value diverged from scratch.
 
         Compares the running total, every net/T1 term, the stage
-        histogram and the boundary against a from-scratch recomputation.
+        histogram, the boundary and every cached PO total ``P(b)``
+        against a from-scratch recomputation.
         """
         st = self.st
         stages = self.stages
@@ -640,6 +705,21 @@ class StageSchedule:
                     raise TimingError(
                         f"T1 {i}: kept cost {self._t1_cost[i]}, actual {want}"
                     )
+        for pb, kept in self._po_totals.items():
+            want = 0.0
+            for sig in st.po_signals:
+                cs = [stages[c] for c in st.nets[sig]]
+                cost = _net_term_cost(
+                    stages[sig[0]],  # type: ignore[arg-type]
+                    min(cs) if cs else None,  # type: ignore[type-var]
+                    max(cs) if cs else None,  # type: ignore[type-var]
+                    pb,
+                    self.n,
+                )
+                if cost != INF:
+                    want += cost
+            if kept != want:
+                raise TimingError(f"P({pb}): kept {kept}, actual {want}")
         want_total = self.recompute_total()
         if self.total() != want_total:
             raise TimingError(

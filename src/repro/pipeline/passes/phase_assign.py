@@ -52,7 +52,12 @@ class PhaseAssignPass:
                 f"phase_assign: degraded to {info['method']} "
                 f"({info.get('reason')})"
             )
-        ctx.log(f"phase_assign: method={self.method}")
+        stats = "".join(
+            f" {key}={info[key]}"
+            for key in ("sweeps_run", "moves_evaluated", "moves_applied")
+            if key in info
+        )
+        ctx.log(f"phase_assign: method={info['method']}{stats}")
         return ctx
 
 

@@ -7,6 +7,8 @@ heuristic must reproduce the seed scan-and-rebuild sweeps bit for bit
 from ASAP starts (pinned against the retained reference implementation).
 """
 
+import copy
+import functools
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from repro.core.phase_assignment import (
     assign_stages_rescan_reference,
     assign_stages,
 )
+from repro.core import schedule as schedule_module
 from repro.core.schedule import StageSchedule
 from repro.network.gates import Gate
 from repro.sfq.multiphase import edge_dffs
@@ -45,19 +48,91 @@ def random_netlist(seed, n_phases, n_pi=4, n_gates=12, n_t1=2, n_po=3):
     return nl
 
 
-def mapped_registry_netlist(name):
+def _mapped(source, name):
     """Run the standard pipeline up to (excluding) phase assignment."""
-    from repro.circuits import build
     from repro.pipeline import Pipeline
     from repro.pipeline.context import FlowContext
 
     pipe = Pipeline.standard(n_phases=4, use_t1=True, verify="none")
-    ctx = FlowContext(source=build(name, "ci"), name=name, verify="none")
+    ctx = FlowContext(source=source, name=name, verify="none")
     for p in pipe.passes:
         if p.name == "phase_assign":
             break
         ctx = p.run(ctx) or ctx
     return ctx.netlist
+
+
+def mapped_registry_netlist(name):
+    from repro.circuits import build
+
+    return _mapped(build(name, "ci"), name)
+
+
+@functools.lru_cache(maxsize=None)
+def _mapped_datapath_template(n_nodes):
+    from repro.circuits.synthetic import build_synthetic
+
+    return _mapped(build_synthetic("datapath", n_nodes, 0), "datapath")
+
+
+def mapped_datapath(n_nodes):
+    """The mapped ``datapath`` synthetic (a fresh copy: callers mutate it)."""
+    return copy.deepcopy(_mapped_datapath_template(n_nodes))
+
+
+def fork_kernel(k):
+    """Deep copy of a StageSchedule's mutable state.
+
+    Shares only what the kernel never writes (the netlist, its
+    structure, the per-cell consumed-net maps and the pure T1 memo);
+    a plain ``copy.deepcopy`` would copy those too, at ~50 ms a probe
+    on the 1k datapath.
+    """
+    twin = copy.copy(k)
+    twin.stages = list(k.stages)
+    twin._bags = {sig: copy.copy(bag) for sig, bag in k._bags.items()}
+    for bag in twin._bags.values():
+        bag.counts = dict(bag.counts)
+    for name in ("_net_cost", "_t1_cost", "_stage_counts", "_po_totals"):
+        setattr(twin, name, dict(getattr(k, name)))
+    return twin
+
+
+def boundary_biased_walk(nl, seed, steps=500):
+    """Mixed probe/apply steps on a fresh kernel, biased toward boundary
+    shifts; returns the kernel and the number of boundary-shifting probes."""
+    k = StageSchedule(nl)
+    st = k.st
+    movable = [i for i in range(len(nl.cells)) if st.clocked[i]]
+    rng = random.Random(seed)
+    shifted = 0
+    for _ in range(steps):
+        top = max(k.stages[i] for i in movable)
+        deepest = [i for i in movable if k.stages[i] == top]
+        r = rng.random()
+        if r < 0.35 and len(deepest) == 1:
+            # the unique deepest cell up or down
+            x = deepest[0]
+            s = top + rng.choice((-3, -2, -1, 1, 2))
+        elif r < 0.65:
+            # another cell past the max stage
+            x = rng.choice(movable)
+            s = top + rng.randint(1, 3)
+        else:
+            x = rng.choice(movable)
+            s = k.stages[x] + rng.randint(-3, 3)
+        s = max(1, s)
+        if rng.random() < 0.6:
+            probed = k.state_if_moved(x, s)
+            moved = fork_kernel(k)
+            moved.apply_move(x, s)
+            assert probed == moved.state()
+            if moved.boundary() != k.boundary():
+                shifted += 1
+        else:
+            k.apply_move(x, s)
+            k.check_invariants()
+    return k, shifted
 
 
 class TestDeltaEquivalence:
@@ -172,6 +247,32 @@ class TestLiveBoundary:
         assert k.boundary() == max(stages) + 1
 
 
+class TestBoundaryShiftProbes:
+    """Wide-PO move sequences biased toward shifting the PO boundary.
+
+    Boundary-shifting probes price the untouched PO nets through the
+    cached per-boundary totals P(b); each probe must still equal the
+    state reached by really applying the move, and every cached P(b)
+    must equal a from-scratch sum after every apply.
+    """
+
+    @pytest.mark.parametrize("n_phases", [2, 4])
+    def test_random_wide_po_netlist(self, n_phases):
+        nl = random_netlist(
+            31 + n_phases, n_phases, n_pi=6, n_gates=60, n_t1=4, n_po=40
+        )
+        assert len(nl.structure().po_signals) >= 20
+        k, shifted = boundary_biased_walk(nl, seed=n_phases)
+        assert shifted >= 50
+        assert k._po_totals  # the cache was exercised and checked
+
+    def test_mapped_datapath(self):
+        nl = mapped_datapath(1000)
+        k, shifted = boundary_biased_walk(nl, seed=5)
+        assert shifted >= 50
+        assert k._po_totals
+
+
 class TestHeuristicEquivalence:
     """Kernel-based sweeps == the seed scan-and-rebuild reference."""
 
@@ -196,6 +297,16 @@ class TestHeuristicEquivalence:
                 [c.stage for c in nl_ref.cells]
             ), f"divergence at seed {seed}"
 
+    @pytest.mark.parametrize("n_nodes", [1000, 2000])
+    def test_datapath_stage_vectors_identical(self, n_nodes):
+        nl_kernel = mapped_datapath(n_nodes)
+        nl_ref = mapped_datapath(n_nodes)
+        assign_stages_heuristic(nl_kernel)
+        assign_stages_rescan_reference(nl_ref)
+        assert [c.stage for c in nl_kernel.cells] == (
+            [c.stage for c in nl_ref.cells]
+        )
+
     def test_reports_agree_on_applied_moves(self):
         nl_kernel = mapped_registry_netlist("c7552")
         nl_ref = mapped_registry_netlist("c7552")
@@ -204,6 +315,31 @@ class TestHeuristicEquivalence:
         assert rk.moves_applied == rr.moves_applied
         assert rk.sweeps_run == rr.sweeps_run
         assert rk.moves_evaluated > 0
+
+
+class TestProbeScaling:
+    """Deterministic guard on the work per probe (no wall clock).
+
+    Repricing every PO net on each boundary-shifting probe made a probe
+    cost O(#PO nets): about 22 net-term evaluations per probe on the 2k
+    datapath (347 PO nets).  The cached per-boundary totals bring that
+    down to about 3.4.
+    """
+
+    def test_net_term_calls_per_probe(self, monkeypatch):
+        calls = 0
+        real = schedule_module._net_term_cost
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        nl = mapped_datapath(2000)
+        monkeypatch.setattr(schedule_module, "_net_term_cost", counting)
+        report = assign_stages_heuristic(nl)
+        assert report.moves_evaluated > 10_000
+        assert calls <= 5 * report.moves_evaluated
 
 
 class TestHeuristicQuality:
@@ -276,6 +412,20 @@ class TestAutoMethod:
         assign_stages(a, method="auto", sweeps=4, free_pi_phases=True)
         assign_stages_heuristic(b, sweeps=4, free_pi_phases=True)
         assert [c.stage for c in a.cells] == [c.stage for c in b.cells]
+
+    def test_info_reports_heuristic_probe_counts(self):
+        a = mapped_registry_netlist("sin")
+        b = mapped_registry_netlist("sin")
+        info = assign_stages(a, method="auto")
+        report = assign_stages_heuristic(b)
+        assert info == {
+            "method": "heuristic",
+            "degraded": False,
+            "reason": None,
+            "sweeps_run": report.sweeps_run,
+            "moves_evaluated": report.moves_evaluated,
+            "moves_applied": report.moves_applied,
+        }
 
     def test_unknown_method_raises(self):
         from repro.errors import SolverError

@@ -123,6 +123,25 @@ class TestExecution:
         assert ctx.verified is True
         assert len(ctx.events) >= len(pipe.names())
 
+    def test_phase_assign_event_names_the_resolved_engine(self):
+        def phase_event(phase_method, circuit):
+            ctx = Pipeline.standard(
+                use_t1=False, verify="none", phase_method=phase_method
+            ).run(circuit)
+            (event,) = [
+                e for e in ctx.events if e.startswith("phase_assign: method=")
+            ]
+            return event
+
+        # "auto" resolves to the exact ILP on a tiny netlist and to the
+        # heuristic (with its probe counts) on a larger one
+        assert phase_event("auto", ripple_carry_adder(1)) == (
+            "phase_assign: method=ilp"
+        )
+        event = phase_event("auto", build("adder", "ci"))
+        assert event.startswith("phase_assign: method=heuristic sweeps_run=")
+        assert " moves_evaluated=" in event and " moves_applied=" in event
+
     def test_metrics_before_finalize_raises(self):
         pipe = Pipeline.standard().without("verify_metrics")
         ctx = pipe.run(build("adder", "ci"))
