@@ -239,11 +239,10 @@ def assign_stages_heuristic(
             # the seed's local comparison key: INF while any term incident
             # to x is infeasible, the finite cost sum otherwise
             best_cost = INF if inc_inf else g_fin
-            cands.discard(current)
-            order = sorted(cands)
-            for cand, (c_inf, c_fin) in zip(
-                order, kernel.states_if_moved(x, order)
-            ):
+            for cand in sorted(cands):
+                if cand == current:
+                    continue
+                c_inf, c_fin = kernel.state_if_moved(x, cand)
                 cost = INF if inc_inf + (c_inf - g_inf) else c_fin
                 if cost < best_cost - 1e-9:
                     best_cost = cost

@@ -357,129 +357,115 @@ class StageSchedule:
         return INF if inf else fin
 
     def state_if_moved(self, x: int, s: int) -> Tuple[int, float]:
-        """:meth:`state` if cell *x* moved to stage *s* (no mutation)."""
-        return self.states_if_moved(x, (s,))[0]
+        """:meth:`state` if cell *x* moved to stage *s* (no mutation).
 
-    def states_if_moved(
-        self, x: int, candidates: Sequence[int]
-    ) -> List[Tuple[int, float]]:
-        """:meth:`state` for each candidate stage of cell *x* (no mutation).
-
-        Each probe costs O(terms incident to x); the per-cell lookups are
-        made once for all candidates.  A probe that shifts the PO
-        boundary from b0 to b1 prices every PO net it does not touch
-        through the cached per-boundary totals, ``P(b1) − P(b0)``, so it
-        costs amortised O(terms incident to x) as well rather than
-        O(#PO nets).
+        O(terms incident to x).  A move that shifts the PO boundary from
+        b0 to b1 prices every PO net it does not touch through the cached
+        per-boundary totals, ``P(b1) − P(b0)``, so it costs amortised
+        O(terms incident to x) as well rather than O(#PO nets).
         """
-        if not candidates:
-            return []
+        s0 = self.stages[x]
+        if s == s0:
+            return self.state()
+        self.moves_evaluated += 1
         st = self.st
         stages = self.stages
         n = self.n
-        s0 = stages[x]
-        inf0 = self._inf_terms
-        fin0 = self._finite
-        b0 = self.boundary()
-        moves_boundary = self.include_po and st.clocked[x]
-        po_signals = st.po_signals
         net_cost = self._net_cost
         bags = self._bags
-        t1_cost = self._t1_cost
-        fanin_drivers = st.fanin_drivers
-        # nets driven by x (only the driver stage changes) and nets x
-        # consumes (one consumer entry moves in the stage multiset)
-        driven = [
-            (bags[sig], sig in po_signals, net_cost[sig])
-            for sig in st.signals_of_cell[x]
-        ]
-        consumed = [
-            (bags[sig], k, stages[sig[0]], sig in po_signals, net_cost[sig])
-            for sig, k in self._consumed[x].items()
-        ]
+        inf = self._inf_terms
+        fin = self._finite
+        b0 = self.boundary()
+        b1 = b0
+        if self.include_po and st.clocked[x]:
+            b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
+        po_signals = st.po_signals
+        driven = st.signals_of_cell[x]
+        consumed = self._consumed[x]
+        # nets driven by x: only the driver stage changes
+        for sig in driven:
+            bag = bags[sig]
+            new = _net_term_cost(
+                s, bag.mn, bag.mx, b1 if sig in po_signals else None, n
+            )
+            old = net_cost[sig]
+            if old != new:
+                if old == INF:
+                    inf -= 1
+                else:
+                    fin -= old
+                if new == INF:
+                    inf += 1
+                else:
+                    fin += new
+        # nets x consumes: one consumer entry moves in the stage multiset
+        for sig, k in consumed.items():
+            bag = bags[sig]
+            mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
+            new = _net_term_cost(
+                stages[sig[0]],  # type: ignore[arg-type]
+                mn,
+                mx,
+                b1 if sig in po_signals else None,
+                n,
+            )
+            old = net_cost[sig]
+            if old != new:
+                if old == INF:
+                    inf -= 1
+                else:
+                    fin -= old
+                if new == INF:
+                    inf += 1
+                else:
+                    fin += new
         # T1 terms fed by x (and x's own term when x is a T1)
-        t1_fed = [
-            (stages[t], fanin_drivers[t], t1_cost[t])
-            for t in st.t1_consumers[x]
-        ]
-        own_fins = (
-            [stages[d] for d in fanin_drivers[x]] if st.is_t1[x] else None
-        )
-        out: List[Tuple[int, float]] = []
-        for s in candidates:
-            if s == s0:
-                out.append((inf0, fin0))
-                continue
-            self.moves_evaluated += 1
-            inf = inf0
-            fin = fin0
-            b1 = b0
-            if moves_boundary:
-                b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
-            for bag, is_po, old in driven:
-                new = _net_term_cost(
-                    s, bag.mn, bag.mx, b1 if is_po else None, n
-                )
-                if old != new:
-                    if old == INF:
-                        inf -= 1
-                    else:
-                        fin -= old
-                    if new == INF:
-                        inf += 1
-                    else:
-                        fin += new
-            for bag, k, ds, is_po, old in consumed:
-                mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
-                new = _net_term_cost(ds, mn, mx, b1 if is_po else None, n)
-                if old != new:
-                    if old == INF:
-                        inf -= 1
-                    else:
-                        fin -= old
-                    if new == INF:
-                        inf += 1
-                    else:
-                        fin += new
-            for t_stage, drivers, old in t1_fed:
-                new = self._t1(
-                    t_stage, [s if d == x else stages[d] for d in drivers]  # type: ignore[misc]
-                )
-                if old != new:
-                    if old == INF:
-                        inf -= 1
-                    else:
-                        fin -= old
-                    if new == INF:
-                        inf += 1
-                    else:
-                        fin += new
-            if own_fins is not None:
-                old = t1_cost[x]
-                new = self._t1(s, own_fins)  # type: ignore[arg-type]
-                if old != new:
-                    if old == INF:
-                        inf -= 1
-                    else:
-                        fin -= old
-                    if new == INF:
-                        inf += 1
-                    else:
-                        fin += new
-            # boundary shift: every feasible PO net moves from its b0 term
-            # to its b1 term.  P(b1) − P(b0) covers them all; the nets
-            # repriced above already counted their move, so take theirs
-            # back out.  Infeasible PO nets stay infeasible at any b.
-            if b1 != b0:
-                fin += self._po_total(b1) - self._po_total(b0)  # type: ignore[arg-type]
-                for bag, is_po, old in driven:
-                    if is_po and old != INF:
-                        fin -= _net_term_cost(s0, bag.mn, bag.mx, b1, n) - old  # type: ignore[arg-type]
-                for bag, _k, ds, is_po, old in consumed:
-                    if is_po and old != INF:
-                        fin -= _net_term_cost(ds, bag.mn, bag.mx, b1, n) - old
-            out.append((inf, fin))
-        return out
+        for t in st.t1_consumers[x]:
+            fins = [s if d == x else stages[d] for d in st.fanin_drivers[t]]
+            new = self._t1(stages[t], fins)  # type: ignore[arg-type]
+            old = self._t1_cost[t]
+            if old != new:
+                if old == INF:
+                    inf -= 1
+                else:
+                    fin -= old
+                if new == INF:
+                    inf += 1
+                else:
+                    fin += new
+        if st.is_t1[x]:
+            fins = [stages[d] for d in st.fanin_drivers[x]]
+            new = self._t1(s, fins)  # type: ignore[arg-type]
+            old = self._t1_cost[x]
+            if old != new:
+                if old == INF:
+                    inf -= 1
+                else:
+                    fin -= old
+                if new == INF:
+                    inf += 1
+                else:
+                    fin += new
+        # boundary shift: every feasible PO net moves from its b0 term to
+        # its b1 term.  P(b1) − P(b0) covers them all; the nets repriced
+        # above already counted their move, so take theirs back out.
+        # Infeasible PO nets stay infeasible at any b.
+        if b1 != b0:
+            fin += self._po_total(b1) - self._po_total(b0)  # type: ignore[arg-type]
+            for sig in driven:
+                old = net_cost[sig]
+                if sig in po_signals and old != INF:
+                    bag = bags[sig]
+                    fin -= _net_term_cost(s0, bag.mn, bag.mx, b1, n) - old  # type: ignore[arg-type]
+            for sig in consumed:
+                old = net_cost[sig]
+                if sig in po_signals and old != INF:
+                    bag = bags[sig]
+                    fin -= (
+                        _net_term_cost(stages[sig[0]], bag.mn, bag.mx, b1, n)  # type: ignore[arg-type]
+                        - old
+                    )
+        return inf, fin
 
     def _po_total(self, b: int) -> float:
         """P(b): the feasible PO-net terms priced against boundary *b*.
