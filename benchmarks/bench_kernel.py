@@ -17,7 +17,7 @@ extends a measured perf trajectory instead of guessing:
   end-to-end ``Pipeline.standard`` wall time per registry circuit,
   with speedups against ``benchmarks/baseline_seed.json`` (the
   pre-refactor kernel) when that file is present;
-* **rewrite loops** — the PR 6 priority-queue ``refactor`` kernel vs
+* **rewrite loops** — the topological-sweep ``refactor`` kernel vs
   the retained seed sweep ``refactor_reference`` on every large
   registry circuit, pinned to identical accepted counts and an
   identical strashed result (an invariant, not a timing).
@@ -186,7 +186,7 @@ REWRITE_CIRCUITS = {
 def bench_rewrite_loops(preset, failures, repeats=2):
     """Balance + the rewrite kernel vs the retained seed sweep.
 
-    Per large registry circuit: ``refactor`` (the PR 6 priority-queue
+    Per large registry circuit: ``refactor`` (the topological-sweep
     kernel) against ``refactor_reference`` (the seed topological sweep),
     min-of-N with the collector paused, the epoch cut cache and the ISOP
     memo cleared before every attempt so each run pays for its own

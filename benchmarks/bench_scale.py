@@ -14,7 +14,7 @@ kernel exists for, writing ``BENCH_scale.json`` at the repository root:
 * **cut enumeration** (ratchet circuit only) — the flat-array
   ``enumerate_cuts`` kernel vs ``enumerate_cuts_reference`` at k=3,
   plus ``CutDatabase.nbytes()`` flat-storage memory;
-* **rewrite sweep** (ratchet circuit only) — the priority-queue
+* **rewrite sweep** (ratchet circuit only) — the topological-sweep
   ``refactor`` kernel vs the seed ``refactor_reference`` single sweep
   at cut size 4 (the oracle side is timed once — it is the slow path
   the ratio exists to retire).
@@ -186,7 +186,7 @@ def bench_circuit(name, scale, repeats, failures):
 
 def bench_rewrite_kernels(name, scale, repeats, failures, key):
     """Ratchet-circuit-only sections: the flat-array cut kernel and the
-    priority-queue rewrite kernel vs their retained references.
+    topological-sweep rewrite kernel vs their retained references.
 
     The oracle sides are timed once (min-of-1): they are the slow paths
     the ratios exist to retire, and a single cold run already bounds the

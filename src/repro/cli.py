@@ -51,7 +51,7 @@ def _load_network(
 
         if source in SYNTHETIC_BENCHMARKS:
             return build_synthetic(source, scale)
-        raise SystemExit(
+        raise ReproError(
             f"--scale only applies to synthetic benchmarks "
             f"({', '.join(sorted(SYNTHETIC_BENCHMARKS))}), not {source!r}"
         )
@@ -67,7 +67,7 @@ def _load_network(
 
         with _open_netlist(source) as fh:
             return read_bench(fh)
-    raise SystemExit(
+    raise ReproError(
         f"unknown benchmark or file {source!r} "
         f"(known benchmarks: {', '.join(names())})"
     )
@@ -151,7 +151,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.resume and not args.journal:
-        raise SystemExit("--resume requires --journal PATH")
+        raise ReproError("--resume requires --journal PATH")
     table = run_table(
         benchmarks=args.benchmarks or list(names()),
         preset=args.preset,

@@ -22,7 +22,6 @@ from repro.network.traversal import (
     depth,
     levels,
     live_nodes,
-    structural_diff,
     topological_order,
     transitive_fanin,
     transitive_fanout,
@@ -45,7 +44,6 @@ from repro.network.cuts import (
     cached_cut_database,
     enumerate_cuts,
     enumerate_cuts_reference,
-    install_cut_database,
 )
 from repro.network.mffc import MffcComputer, mffc
 from repro.network.npn import (
@@ -93,14 +91,12 @@ __all__ = [
     "cached_sop",
     "clear_sop_cache",
     "cover_table",
-    "install_cut_database",
     "isop",
     "isop_interval",
     "refactor",
     "refactor_reference",
     "sop_cache_info",
     "sop_gate_count",
-    "structural_diff",
     "synthesize_sop",
     "to_aig_form",
     "CutDatabase",

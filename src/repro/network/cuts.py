@@ -26,10 +26,7 @@ irrelevant variables, lowest position first), memoised under a single
 packed int key — no tuple hashing on the hot path.
 
 Whole databases are cached per network mutation epoch by
-:func:`cached_cut_database`; :meth:`CutDatabase.remap` carries a
-database across a ``strash``/``compact`` id remap, re-enumerating only
-nodes whose structural neighbourhood changed (the incremental path the
-rewrite kernel drives between passes).
+:func:`cached_cut_database`.
 
 The seed per-candidate implementation is retained as
 :func:`enumerate_cuts_reference` — the differential oracle for the
@@ -42,8 +39,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.network.gates import (
@@ -151,10 +147,6 @@ class CutDatabase:
     ``epoch`` records the network mutation epoch the cuts were
     enumerated at (``-1`` for hand-built databases);
     :func:`cached_cut_database` uses it to decide reuse.
-    ``full_counts`` (kernel-enumerated databases only) records, per
-    node, the pre-truncation size of the dominance-filtered cut set —
-    :meth:`remap` needs it to know which nodes were clipped by the
-    ``cuts_per_node`` limit.
     """
 
     def __init__(
@@ -164,7 +156,6 @@ class CutDatabase:
         epoch: int = -1,
         cuts_per_node: int = 8,
         include_trivial: bool = True,
-        full_counts: Optional[List[int]] = None,
     ):
         # compatibility constructor: flatten a hand-built list-of-lists
         # into row storage, keeping the given Cut objects as the
@@ -183,13 +174,13 @@ class CutDatabase:
             mat[node] = node_cuts
         self._init_rows(
             rstart, rcount, row_leaves, row_bits,
-            k, epoch, cuts_per_node, include_trivial, full_counts,
+            k, epoch, cuts_per_node, include_trivial,
         )
         self._mat = mat
 
     def _init_rows(
         self, rstart, rcount, row_leaves, row_bits,
-        k, epoch, cuts_per_node, include_trivial, full_counts,
+        k, epoch, cuts_per_node, include_trivial,
     ) -> None:
         self._rstart = rstart
         self._rcount = rcount
@@ -199,30 +190,19 @@ class CutDatabase:
         self.epoch = epoch
         self.cuts_per_node = cuts_per_node
         self.include_trivial = include_trivial
-        self.full_counts = full_counts
-        #: filled in by :meth:`remap` on the database it returns
-        self.remap_reused = 0
-        self.remap_rebuilt = 0
-        self.remap_index_carried = 0
         #: lazily materialised per-node Cut lists (identity-stable)
         self._mat: Dict[int, List[Cut]] = {}
-        # lazy per-node {leaf tuple -> Cut} indices, stamped with the
-        # epoch they were built at: a stale stamp (the database was
-        # re-adopted at a different epoch) drops the whole index instead
-        # of serving entries built against other ids
-        self._leaf_index: Dict[int, Dict[Tuple[int, ...], Cut]] = {}
-        self._leaf_index_epoch = epoch
 
     @classmethod
     def _from_rows(
         cls, rstart, rcount, row_leaves, row_bits,
-        k, epoch, cuts_per_node, include_trivial, full_counts,
+        k, epoch, cuts_per_node, include_trivial,
     ) -> "CutDatabase":
         """Kernel constructor: adopt flat row storage without boxing."""
         self = cls.__new__(cls)
         self._init_rows(
             array("q", rstart), array("q", rcount), row_leaves, row_bits,
-            k, epoch, cuts_per_node, include_trivial, full_counts,
+            k, epoch, cuts_per_node, include_trivial,
         )
         return self
 
@@ -279,246 +259,6 @@ class CutDatabase:
         for b in self._row_bits:
             total += gs(b)
         return total
-
-    def cut_with_leaves(self, node: int, leaves: Tuple[int, ...]) -> Optional[Cut]:
-        """The cut of *node* with exactly these leaves, if enumerated.
-
-        O(1) after the first lookup on a node: a per-node dict keyed by
-        leaf tuple is built lazily, invalidated by epoch stamp (not per
-        database object — :meth:`remap` carries entries of
-        identity-mapped nodes to the database it returns).
-        """
-        if self._leaf_index_epoch != self.epoch:
-            self._leaf_index.clear()
-            self._leaf_index_epoch = self.epoch
-        index = self._leaf_index.get(node)
-        if index is None:
-            index = {c.leaves: c for c in self._node_cuts(node)}
-            self._leaf_index[node] = index
-        return index.get(leaves)
-
-    def _nontrivial_rows(self, node: int) -> List[Tuple[Tuple[int, ...], int]]:
-        """``(leaves, bits)`` rows of *node* minus the trivial cut."""
-        rl = self._row_leaves
-        rb = self._row_bits
-        trivial = (node,)
-        return [
-            (rl[i], rb[i])
-            for i in self.node_rows(node)
-            if rl[i] != trivial
-        ]
-
-    def remap(
-        self,
-        old_net: LogicNetwork,
-        new_net: LogicNetwork,
-        node_map: Mapping,
-    ) -> "CutDatabase":
-        """Carry this database across an id remap, re-enumerating only
-        the changed neighbourhood.
-
-        ``node_map`` is the old-id -> new-id event (a
-        :class:`~repro.network.nodemap.NodeMap` or plain mapping) emitted
-        by the pass that turned *old_net* (the network this database was
-        enumerated on) into *new_net* — e.g. ``strash`` after a batch of
-        rewrites.  The result is **bit-identical** to
-        ``enumerate_cuts(new_net, ...)`` with the same parameters.
-
-        A new node's cut set is *reused* (id-translated from its
-        preimage, tables permuted when the remap reorders leaves) when
-        the reuse is provably exact:
-
-        * it has exactly one preimage, with the same gate and the
-          id-translated multiset of fanins (structure matched);
-        * every fanin's rebuilt cut list equals the translation of its
-          preimage's list (*faithful* — so the merge inputs match);
-        * ``node_map`` is injective on the preimage's fanin-cut leaves
-          (a merge elsewhere could change feasibility/dominance);
-        * the preimage's cut set was not clipped by ``cuts_per_node``
-          (translation can reorder the keep-order at the clip boundary).
-
-        Everything else — the transitive fanout of rewritten/merged
-        regions — is re-enumerated from its (already final) fanin lists.
-        Re-enumerated nodes that end up equal to their preimage's
-        translation are still marked faithful, so dirtiness does not
-        propagate past the region where results actually differ.
-        Nodes whose reuse is the *identity* (same id, same leaf ids)
-        additionally inherit the old database's materialised cuts and
-        ``cut_with_leaves`` index entries.  ``remap_reused`` /
-        ``remap_rebuilt`` on the returned database count the two paths.
-        """
-        k = self.k
-        cap = self.cuts_per_node
-        old_full = self.full_counts
-        get_new = node_map.get
-
-        old_codes, old_off, old_deg, old_pool = flat_arrays(old_net)
-        new_codes, new_off, new_deg, new_pool = flat_arrays(new_net)
-
-        inv: Dict[int, int] = {}
-        multi = set()
-        for o, m in node_map.items():
-            if m in inv:
-                multi.add(m)
-            else:
-                inv[m] = o
-
-        n = new_net.num_nodes()
-        rstart = [0] * n
-        rcount = [0] * n
-        row_leaves: List[Tuple[int, ...]] = []
-        row_bits: List[int] = []
-        full_counts = [0] * n
-        faithful = [False] * n
-        include_trivial = self.include_trivial
-        merge_memo: Dict[Tuple[int, ...], tuple] = {}
-        spread_memo: Dict[int, int] = {}
-        evals = _EVAL_BY_CODE
-        reused = rebuilt = 0
-        carried_mat: Dict[int, List[Cut]] = {}
-        carried_index: Dict[int, Dict[Tuple[int, ...], Cut]] = {}
-
-        def translated_rows(o: int) -> Optional[List[Tuple[Tuple[int, ...], int]]]:
-            """o's non-trivial cuts as new-id ``(leaves, bits)`` rows.
-
-            Tables are permuted when the id translation reorders leaves;
-            rows come back in the canonical ``(len, tuple)`` order.
-            Returns None when a leaf did not survive the remap.
-            """
-            rows: List[Tuple[Tuple[int, ...], int]] = []
-            for lv, bits in self._nontrivial_rows(o):
-                new_lv = tuple(get_new(l, -1) for l in lv)
-                if -1 in new_lv:
-                    return None
-                sorted_lv = tuple(sorted(new_lv))
-                if sorted_lv == new_lv:
-                    rows.append((new_lv, bits))
-                else:
-                    positions = tuple(sorted_lv.index(x) for x in new_lv)
-                    rows.append(
-                        (sorted_lv, _remap_bits(bits, positions, len(lv)))
-                    )
-            rows.sort(key=lambda r: (len(r[0]), r[0]))
-            return rows
-
-        def injective_on_fanin_leaves(o: int) -> bool:
-            leaf_set = set()
-            oo = old_off[o]
-            rl = self._row_leaves
-            for j in range(oo, oo + old_deg[o]):
-                for i in self.node_rows(old_pool[j]):
-                    leaf_set.update(rl[i])
-            mapped = set()
-            for l in leaf_set:
-                ml = get_new(l)
-                if ml is None:
-                    return False
-                mapped.add(ml)
-            return len(mapped) == len(leaf_set)
-
-        for node in topological_order(new_net):
-            c = new_codes[node]
-            o = inv.get(node) if node not in multi else None
-            rstart[node] = len(row_bits)
-            if c == _C_CONST0 or c == _C_CONST1:
-                row_leaves.append(())
-                row_bits.append(1 if c == _C_CONST1 else 0)
-                rcount[node] = 1
-                full_counts[node] = 1
-                faithful[node] = o is not None and old_codes[o] == c
-                continue
-            if c in _TRIVIAL_ONLY_CODES:
-                row_leaves.append((node,))
-                row_bits.append(_TT_VAR0_BITS)
-                rcount[node] = 1
-                full_counts[node] = 1
-                faithful[node] = o is not None and old_codes[o] == c
-                continue
-
-            no = new_off[node]
-            nd = new_deg[node]
-            fins = tuple(new_pool[no:no + nd])
-            rows = None
-            if (
-                o is not None
-                and old_full is not None
-                and old_codes[o] == c
-                and old_full[o] <= cap
-                and all(faithful[f] for f in fins)
-            ):
-                oo = old_off[o]
-                mapped_fins = [
-                    get_new(old_pool[j], -1) for j in range(oo, oo + old_deg[o])
-                ]
-                if (
-                    -1 not in mapped_fins
-                    and sorted(mapped_fins) == sorted(fins)
-                    and injective_on_fanin_leaves(o)
-                ):
-                    rows = translated_rows(o)
-            if rows is not None:
-                reused += 1
-                faithful[node] = True
-                full_counts[node] = old_full[o]
-                if o == node and rows == self._nontrivial_rows(o):
-                    # identity reuse: the materialised cuts and leaf
-                    # index of the preimage stay valid verbatim
-                    got = self._mat.get(o)
-                    if got is not None:
-                        carried_mat[node] = got
-                    idx = self._leaf_index.get(o)
-                    if idx is not None:
-                        carried_index[node] = idx
-            else:
-                rebuilt += 1
-                spans = [(rstart[f], rstart[f] + rcount[f]) for f in fins]
-                kept, total = _merged_spans_memo(
-                    fins, spans, row_leaves, k, cap, merge_memo
-                )
-                rows = _compose_kept(evals[c], kept, row_bits, spread_memo)
-                full_counts[node] = total
-                # stop dirtiness from propagating: a rebuilt node whose
-                # result matches its preimage's translation is faithful
-                if o is not None and old_codes[o] == c:
-                    faithful[node] = translated_rows(o) == rows
-            for key, bits in rows:
-                row_leaves.append(key)
-                row_bits.append(bits)
-            if include_trivial:
-                row_leaves.append((node,))
-                row_bits.append(_TT_VAR0_BITS)
-            rcount[node] = len(row_bits) - rstart[node]
-
-        out = CutDatabase._from_rows(
-            rstart, rcount, row_leaves, row_bits,
-            k, new_net.epoch, cap, include_trivial, full_counts,
-        )
-        out.remap_reused = reused
-        out.remap_rebuilt = rebuilt
-        if self._leaf_index_epoch == self.epoch:
-            out._leaf_index.update(carried_index)
-            out.remap_index_carried = len(carried_index)
-        out._mat.update(carried_mat)
-        return out
-
-
-@lru_cache(maxsize=1 << 16)
-def _remap_bits(bits: int, positions: Tuple[int, ...], k: int) -> int:
-    """Raw-int :meth:`TruthTable.remap`: re-express over ``k`` variables.
-
-    Old variable ``i`` becomes new variable ``positions[i]``.  Used on
-    the cold paths (remap leaf permutation); the enumeration hot path
-    uses the ascending-subset special case :func:`_spread_bits`.
-    """
-    out = 0
-    for row in range(1 << k):
-        src = 0
-        for i, p in enumerate(positions):
-            if (row >> p) & 1:
-                src |= 1 << i
-        if (bits >> src) & 1:
-            out |= 1 << row
-    return out
 
 
 def _spread_bits(bits: int, pmask: int, k: int) -> int:
@@ -650,20 +390,16 @@ def _merge_spans(
     row_leaves: List[Tuple[int, ...]],
     k: int,
     cap: int,
-) -> Tuple[List[Tuple[Tuple[int, ...], int, Tuple[Tuple[int, int], ...]]], int]:
+) -> List[Tuple[Tuple[int, ...], int, Tuple[Tuple[int, int], ...]]]:
     """Merged, dominance-filtered, pruned leaf sets of one node.
 
     *spans* gives each fanin's ``(lo, hi)`` row range in the shared
-    *row_leaves* store.  Returns ``(kept, total)``: *kept* holds at most
-    *cap* entries ``(leaf tuple, len, parts)`` in canonical ``(len,
-    tuple)`` order, where *parts* records per fanin the chosen row index
-    and the dense position mask of that row's leaves within the merged
-    tuple (what table composition spreads on); *total* is the
-    pre-truncation size of the dominance-filtered set (the minimal
-    antichain, which is canonical: a proper subset is strictly smaller,
-    so membership does not depend on enumeration order).  Which combo
-    wins a dedup tie does not matter for the composed table — the node
-    function over a fixed leaf set is unique.
+    *row_leaves* store.  Returns at most *cap* entries ``(leaf tuple,
+    len, parts)`` in canonical ``(len, tuple)`` order, where *parts*
+    records per fanin the chosen row index and the dense position mask
+    of that row's leaves within the merged tuple (what table composition
+    spreads on).  Which combo wins a dedup tie does not matter for the
+    composed table — the node function over a fixed leaf set is unique.
 
     All set work runs on sorted leaf tuples: ``|A∪B| == |A|`` proves
     ``B ⊆ A`` (the union is already canonical — no sort), dedup is a
@@ -744,7 +480,6 @@ def _merge_spans(
             continue
         kept_raw.append((key, combo))
         kept_sets.append(ks)
-    total = len(kept_raw)
     del kept_raw[cap:]
 
     # attach, per surviving row, the position mask of each fanin cut's
@@ -765,28 +500,7 @@ def _merge_spans(
                     pm |= 1 << idx(leaf)
             parts.append((ri, pm))
         kept.append((key, kk, tuple(parts)))
-    return kept, total
-
-
-def _merged_spans_memo(
-    fins: Tuple[int, ...],
-    spans: Sequence[Tuple[int, int]],
-    row_leaves: List[Tuple[int, ...]],
-    k: int,
-    cap: int,
-    merge_memo: Dict[Tuple[int, ...], tuple],
-) -> tuple:
-    """Per-fanin-tuple memoised :func:`_merge_spans`.
-
-    The merge + dominance work depends only on the fanin tuple (never on
-    the gate), so nodes sharing fanins — e.g. the XOR/AND pairs of every
-    half-adder — share one pass.
-    """
-    entry = merge_memo.get(fins)
-    if entry is None:
-        entry = _merge_spans(spans, row_leaves, k, cap)
-        merge_memo[fins] = entry
-    return entry
+    return kept
 
 
 def _compose_kept(
@@ -858,7 +572,6 @@ def enumerate_cuts(
     rcount = [0] * n
     row_leaves: List[Tuple[int, ...]] = []
     row_bits: List[int] = []
-    full_counts = [0] * n
     merge_memo: Dict[Tuple[int, ...], tuple] = {}
     spread_memo: Dict[int, int] = {}
     evals = _EVAL_BY_CODE
@@ -877,13 +590,11 @@ def enumerate_cuts(
             append_leaves(())
             append_bits(1 if c == c1 else 0)
             rcount[node] = 1
-            full_counts[node] = 1
             continue
         if c in trivial_only:
             append_leaves((node,))
             append_bits(var0)
             rcount[node] = 1
-            full_counts[node] = 1
             continue
 
         o = off[node]
@@ -892,13 +603,11 @@ def enumerate_cuts(
             fins = (pool[o], pool[o + 1])
         else:
             fins = tuple(pool[o:o + d])
-        entry = merge_memo.get(fins)
-        if entry is None:
+        kept = merge_memo.get(fins)
+        if kept is None:
             spans = [(rstart[f], rstart[f] + rcount[f]) for f in fins]
-            entry = _merge_spans(spans, row_leaves, k, cuts_per_node)
-            merge_memo[fins] = entry
-        kept, total = entry
-        full_counts[node] = total
+            kept = _merge_spans(spans, row_leaves, k, cuts_per_node)
+            merge_memo[fins] = kept
         for key, bits in _compose_kept(evals[c], kept, row_bits, spread_memo):
             append_leaves(key)
             append_bits(bits)
@@ -909,7 +618,7 @@ def enumerate_cuts(
 
     return CutDatabase._from_rows(
         rstart, rcount, row_leaves, row_bits,
-        k, net.epoch, cuts_per_node, include_trivial, full_counts,
+        k, net.epoch, cuts_per_node, include_trivial,
     )
 
 
@@ -1030,24 +739,3 @@ def cached_cut_database(
     cache[key] = db
     return db
 
-
-def install_cut_database(net: LogicNetwork, db: CutDatabase) -> CutDatabase:
-    """Adopt *db* as the cached database of *net*.
-
-    The entry point for incremental flows: after
-    ``new_db = old_db.remap(old_net, new_net, node_map)``, installing
-    ``new_db`` on ``new_net`` makes the next
-    :func:`cached_cut_database` call with the same parameters hit it
-    instead of re-enumerating.  The database epoch must match the
-    network's current epoch.
-    """
-    if db.epoch != net.epoch:
-        raise NetworkError(
-            f"cut database epoch {db.epoch} != network epoch {net.epoch}"
-        )
-    cache: Optional[Dict] = getattr(net, "_cut_db_cache", None)
-    if cache is None:
-        cache = {}
-        net._cut_db_cache = cache  # type: ignore[attr-defined]
-    cache[(db.k, db.cuts_per_node, db.include_trivial)] = db
-    return db

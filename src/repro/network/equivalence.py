@@ -7,18 +7,14 @@ Three engines, used in escalation order by :func:`check_equivalence`:
    differing chunk terminates the run early;
 2. random bit-parallel simulation (fast falsification witness).  The
    driver runs it through :func:`signature_equivalence`: per-PO
-   *simulation signatures* are collected over a few wide rounds (the
+   *simulation signatures* are compared over a few wide rounds (the
    same total stimulus bits as the seed's many narrow rounds, at a
    fraction of the per-round traversal overhead, with the round width
    capped so the per-network value arrays stay within a fixed memory
-   budget), and PO pairs are partitioned into distinguished pairs (a
-   witness — the whole check is settled, no SAT call at all) and
-   identical-signature pairs;
-3. SAT on the XOR miter (complete; uses :mod:`repro.sat`) — reached
-   only when *every* pair kept an identical signature.  For callers
-   that need to prove a chosen *subset* of PO pairs,
-   :func:`sat_equivalence` accepts ``pairs=...`` and restricts the
-   Tseitin encoding to those pairs' transitive fanin cones.
+   budget); the first differing PO pair yields a witness and settles
+   the check with no SAT call at all;
+3. SAT on the XOR miter over every PO pair (complete; uses
+   :mod:`repro.sat`) — reached only when no signature differed.
 
 The T1 flow uses CEC after every replacement pass: T1 taps evaluate their
 XOR3/MAJ3/OR3 semantics in simulation, and the CNF encoder expands them
@@ -33,7 +29,7 @@ run share one traversal of each (unchanged) network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.errors import EquivalenceError, NetworkError
 from repro.network.logic_network import LogicNetwork
@@ -125,14 +121,11 @@ def signature_equivalence(
     width: int = DEFAULT_SIGNATURE_WIDTH,
     rounds: int = DEFAULT_SIGNATURE_ROUNDS,
     seed: int = 2024,
-) -> Tuple[CecResult, List[int]]:
+) -> CecResult:
     """Random CEC through per-PO simulation signatures.
 
-    Returns ``(result, undistinguished)`` where *undistinguished* lists
-    the PO indices whose signature stayed identical across every round —
-    the pairs a complete check still has to hand to the SAT miter.  On a
-    falsified run the first differing pair yields the counterexample and
-    the remaining pairs are not refined further.
+    Complete only as a falsifier: the first differing PO pair yields the
+    counterexample.
 
     The round width is halved (and the round count doubled, preserving
     the total stimulus) until the per-network value arrays fit
@@ -151,15 +144,12 @@ def signature_equivalence(
         vecs = random_patterns(len(a.pis), width, seed=seed + r)
         pos_a = simulate_pos(a, vecs, width)
         pos_b = simulate_pos(b, vecs, width)
-        for i, (va, vb) in enumerate(zip(pos_a, pos_b)):
+        for va, vb in zip(pos_a, pos_b):
             diff = va ^ vb
             if diff:
                 bit = (diff & -diff).bit_length() - 1
-                return (
-                    CecResult(False, "random", _extract_cex(a, vecs, bit)),
-                    [],
-                )
-    return CecResult(True, "random"), list(range(len(a.pos)))
+                return CecResult(False, "random", _extract_cex(a, vecs, bit))
+    return CecResult(True, "random")
 
 
 def exhaustive_equivalence(
@@ -203,55 +193,21 @@ def sat_equivalence(
     a: LogicNetwork,
     b: LogicNetwork,
     conflict_limit: int = 2_000_000,
-    pairs: Optional[Sequence[int]] = None,
 ) -> CecResult:
-    """Complete CEC via a SAT miter (pairwise PO XOR, ORed).
-
-    *pairs* restricts the miter to the given PO indices (the
-    identical-signature pairs the simulation rounds could not
-    distinguish); the encoding covers only the transitive fanin cones of
-    those POs.  ``None`` checks every pair.
-    """
-    from repro.network.traversal import transitive_fanin
+    """Complete CEC via a SAT miter (pairwise PO XOR, ORed)."""
     from repro.sat.cnf import CnfBuilder
     from repro.sat.solver import SatSolver, SatStatus
 
     _check_interfaces(a, b)
-    if pairs is None:
-        pair_list = list(range(len(a.pos)))
-    else:
-        pair_list = sorted(set(pairs))
-        for i in pair_list:
-            if not 0 <= i < len(a.pos):
-                raise NetworkError(f"PO index {i} out of range")
-    if not pair_list:
-        # no pairs to differ: vacuously equivalent (also covers
-        # zero-PO interfaces reaching the SAT stage)
+    if not a.pos:
+        # no PO pair to differ: vacuously equivalent
         return CecResult(True, "sat")
     builder = CnfBuilder()
     pi_vars = [builder.new_var() for _ in a.pis]
-    if pairs is None or len(pair_list) == len(a.pos):
-        sel_a = builder.encode_network(a, pi_vars)
-        sel_b = builder.encode_network(b, pi_vars)
-    else:
-        # restrict the encoding to the transitive fanin cones of the
-        # selected pairs (T1 taps pull in their cell's fanins, so the
-        # cone is fanin-closed for the encoder)
-        def cone_nodes(net: LogicNetwork, roots: List[int]) -> List[int]:
-            keep = transitive_fanin(net, roots)
-            return [n for n in net.topological_order() if n in keep]
-
-        roots_a = [a.pos[i] for i in pair_list]
-        roots_b = [b.pos[i] for i in pair_list]
-        lits_a = builder.encode_network(a, pi_vars, nodes=cone_nodes(a, roots_a))
-        lits_b = builder.encode_network(b, pi_vars, nodes=cone_nodes(b, roots_b))
-        sel_a = [lits_a[i] for i in pair_list]
-        sel_b = [lits_b[i] for i in pair_list]
-    diffs = []
-    for la, lb in zip(sel_a, sel_b):
-        assert la is not None and lb is not None
-        diffs.append(builder.add_xor2(la, lb))
-    builder.add_clause(diffs)  # some selected PO differs
+    lits_a = builder.encode_network(a, pi_vars)
+    lits_b = builder.encode_network(b, pi_vars)
+    diffs = [builder.add_xor2(la, lb) for la, lb in zip(lits_a, lits_b)]
+    builder.add_clause(diffs)  # some PO differs
     solver = SatSolver(builder.num_vars, builder.clauses)
     status = solver.solve(conflict_limit=conflict_limit)
     if status is SatStatus.UNSAT:
@@ -277,8 +233,8 @@ def check_equivalence(
 
     * few PIs -> chunked exhaustive (complete);
     * otherwise the signature engine first (cheap falsification, wide
-      rounds); identical-signature PO pairs then go to the SAT miter —
-      but only when ``complete`` asks for a proof.
+      rounds); when no signature differs, the SAT miter over every PO
+      pair — but only when ``complete`` asks for a proof.
 
     For large networks with ``complete=True`` the SAT call may be slow;
     flows use ``complete=False`` plus heavy random simulation, and the
@@ -287,12 +243,10 @@ def check_equivalence(
     _check_interfaces(a, b)
     if len(a.pis) <= EXHAUSTIVE_PI_LIMIT:
         return exhaustive_equivalence(a, b)
-    res, undistinguished = signature_equivalence(
-        a, b, width=random_width, rounds=random_rounds
-    )
+    res = signature_equivalence(a, b, width=random_width, rounds=random_rounds)
     if not res.equivalent or not complete:
         return res
-    return sat_equivalence(a, b, pairs=undistinguished)
+    return sat_equivalence(a, b)
 
 
 def assert_equivalent(a: LogicNetwork, b: LogicNetwork, **kwargs) -> None:

@@ -8,20 +8,11 @@ eq. (2) in the paper.
 Implementation: classic reference-counting walk.  Dereference the fanins
 of *u*; every fanin whose count drops to zero joins the cone and is
 dereferenced recursively; then all counts are restored.
-
-Single-root cones are memoised per ``(root, boundary)`` — the rewrite
-kernel scores the same (node, cut) pairs repeatedly — and
-:meth:`MffcComputer.carry_over` translates the memo across an id remap,
-dropping only the entries whose result could have changed (the caller
-supplies the dirty region, typically from
-:func:`~repro.network.traversal.structural_diff`): a cone is a function
-of the root's transitive-fanin structure and fanout counts only, so
-entries rooted outside the dirty region stay exact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set
 
 from repro.network.gates import (
     CODE_BY_GATE,
@@ -58,11 +49,6 @@ class MffcComputer:
         # restores it
         self.refs = net.compute_fanout_counts()
         self._codes, self._off, self._deg, self._pool = flat_arrays(net)
-        # (root, sorted boundary tuple) -> frozen cone
-        self._cone_cache: Dict[Tuple[int, Tuple[int, ...]], FrozenSet[int]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.carried_entries = 0
 
     def _stoppable(self, node: int) -> bool:
         """Nodes at which the cone always stops (never absorbed)."""
@@ -73,18 +59,9 @@ class MffcComputer:
 
         Returns the set of cone nodes (root included).  T1 blocks are
         treated as atomic: taps and cells are never absorbed (they are the
-        result of a previous mapping decision).  Results are memoised per
-        ``(root, boundary)``; the returned set is a fresh copy.
+        result of a previous mapping decision).
         """
-        key = (root, tuple(sorted(boundary)))
-        cached = self._cone_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return set(cached)
-        self.cache_misses += 1
-        cone = self.mffc_union([root], key[1])
-        self._cone_cache[key] = frozenset(cone)
-        return cone
+        return self.mffc_union([root], boundary)
 
     def mffc_union(
         self, roots: Sequence[int], boundary: Iterable[int] = ()
@@ -126,56 +103,6 @@ class MffcComputer:
         for f in touched:
             refs[f] += 1
         return cone
-
-    def carry_over(
-        self,
-        new_net: LogicNetwork,
-        node_map: Mapping,
-        dirty: Set[int],
-    ) -> "MffcComputer":
-        """A computer for *new_net* that inherits still-valid cones.
-
-        ``node_map`` is the old-id -> new-id event that turned this
-        computer's network into *new_net*; ``dirty`` is the set of
-        new-net nodes whose transitive-fanin structure or fanout counts
-        may differ from their preimage's (compute it with
-        :func:`~repro.network.traversal.structural_diff` — it must be
-        closed under transitive fanout of every changed node).  Cached
-        cones are id-translated and kept only when the translated root
-        is clean: a cone depends only on the root's TFI structure and
-        the fanout counts of TFI nodes, so clean roots reproduce the
-        walk isomorphically.
-        """
-        out = MffcComputer(new_net)
-        get = node_map.get
-        carried = out._cone_cache
-        for (root, boundary), cone in self._cone_cache.items():
-            new_root = get(root)
-            if new_root is None or new_root in dirty:
-                continue
-            new_boundary = []
-            ok = True
-            for b in boundary:
-                nb = get(b)
-                if nb is None:
-                    ok = False
-                    break
-                new_boundary.append(nb)
-            if not ok:
-                continue
-            new_cone = set()
-            for c in cone:
-                nc = get(c)
-                if nc is None:
-                    ok = False
-                    break
-                new_cone.add(nc)
-            if not ok:
-                continue
-            new_boundary.sort()
-            carried[(new_root, tuple(new_boundary))] = frozenset(new_cone)
-        out.carried_entries = len(carried)
-        return out
 
 
 def mffc(net: LogicNetwork, root: int, boundary: Iterable[int] = ()) -> Set[int]:

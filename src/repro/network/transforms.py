@@ -16,44 +16,27 @@ does to a netlist before technology mapping:
   than the cone it replaces.  Equivalence-preserving by construction;
   validated by CEC in the tests.
 
-:func:`refactor` is the *rewrite kernel* (ABC/mockturtle-style
-priority-ordered rewriting): every node's candidate rewrites are scored
-up front — cut function, memoised ISOP cover
-(:func:`~repro.network.isop.cached_sop`) and gain — and pushed into a
-priority queue that is drained with lazy revalidation: entries whose
-node was claimed by an earlier acceptance are dropped on pop, entries
-whose best candidate got blocked fall back to their next-best unblocked
-candidate, and (in max-gain order) entries whose attainable gain shrank
-are re-keyed and re-queued instead of being applied stale.  With the
-default ``priority="topo"`` the queue drains in topological order and
-the kernel is **bit-identical** to :func:`refactor_reference` (the seed
-single-sweep implementation, retained as the differential oracle):
-identical accepted rewrites, identical strashed result.
-``priority="gain"`` drains by descending gain — a different (still
-equivalence-preserving, CEC-validated) acceptance order.
-
-Multi-pass refactoring (``passes > 1``) is incremental: between passes
-the cut database is carried through the strash id remap with
-:meth:`~repro.network.cuts.CutDatabase.remap` and MFFC cones with
-:meth:`~repro.network.mffc.MffcComputer.carry_over`, so analyses are
-re-enumerated only inside the structural neighbourhood
-(:func:`~repro.network.traversal.structural_diff`) of the accepted
-rewrites instead of from scratch per pass.
+:func:`refactor` is the *rewrite kernel*: one topological sweep over
+the network.  Every node's candidate rewrites are scored up front — cut
+function, memoised ISOP cover (:func:`~repro.network.isop.cached_sop`)
+and gain — then the sweep visits the scored nodes in topological order
+and applies each node's best candidate whose leaves and cone avoid the
+nodes claimed by earlier acceptances.  The kernel is **bit-identical**
+to :func:`refactor_reference` (the seed single-sweep implementation,
+retained as the differential oracle): identical accepted rewrites,
+identical strashed result.  Iterated refactoring is repeated calls.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import NetworkError
 from repro.network.cleanup import strash
-from repro.network.cuts import cached_cut_database, install_cut_database
+from repro.network.cuts import cached_cut_database
 from repro.network.gates import CODE_BY_GATE, Gate, T1_TAP_CODES, is_t1_tap
 from repro.network.isop import cached_sop_bits, isop, sop_gate_count, synthesize_sop
 from repro.network.logic_network import CONST0, CONST1, LogicNetwork, flat_arrays
 from repro.network.mffc import MffcComputer
-from repro.network.traversal import structural_diff
 
 
 def to_aig_form(net: LogicNetwork) -> LogicNetwork:
@@ -137,7 +120,7 @@ _sop_gate_count = sop_gate_count
 #: skip gates that are free, interface or already-mapped
 _SKIP_GATES = (Gate.PI, Gate.CONST0, Gate.CONST1, Gate.BUF)
 
-#: code-level twins for the array-native kernel: nodes the queue never
+#: code-level twins for the array-native kernel: nodes the sweep never
 #: scores (free/interface/mapped) and nodes a cone counts as free
 _SKIP_CODES = frozenset(
     {CODE_BY_GATE[g] for g in _SKIP_GATES} | {CODE_BY_GATE[Gate.T1_CELL]}
@@ -158,8 +141,8 @@ def refactor_reference(
     Visits nodes in topological order; for each, every cut is scored
     against the *current* claimed-set (unmemoised ISOP per candidate)
     and the best positive-gain rewrite is applied immediately.
-    :func:`refactor` with ``priority="topo"`` is pinned bit-identical to
-    this (same accepted count, same strashed result).
+    :func:`refactor` is pinned bit-identical to this (same accepted
+    count, same strashed result).
     """
     work = net.clone()
     # all analysis (cuts, MFFC, costs) runs on the frozen original; the
@@ -211,8 +194,8 @@ def _score_node(codes, row_leaves, row_bits, rows, mffc, node) -> List[tuple]:
     """All positive-gain candidates of *node*, in cut order.
 
     Each entry is ``(gain, cut_index, leaves, cubes, cone)``, scored
-    against an empty claimed-set (the optimistic upper bound the queue
-    keys on); the pop-time filter re-applies the live claimed-set.
+    against an empty claimed-set; the sweep re-applies the live
+    claimed-set through :func:`_pick_unblocked`.
     Reads the cut database's flat row storage (*rows* indexes into the
     shared *row_leaves*/*row_bits* stores) and the gate-code bytearray —
     no ``Cut``/``TruthTable`` boxes, SOP covers keyed by raw ints.
@@ -256,135 +239,58 @@ def _pick_unblocked(cands, claimed) -> Optional[tuple]:
     return best
 
 
-def _refactor_pass(
-    net: LogicNetwork,
-    db,
-    mffc: MffcComputer,
-    priority: str,
-    stats: Dict[str, int],
-) -> Tuple[LogicNetwork, int]:
-    """One queue-driven rewrite pass; returns ``(mutated work copy, accepted)``."""
-    work = net.clone()
-    codes = flat_arrays(net)[0]
-    row_leaves, row_bits = db.raw_rows()
-    topo = net.topological_order()
-    rank = {node: i for i, node in enumerate(topo)}
-    heap: List[tuple] = []
-    cands_of: Dict[int, List[tuple]] = {}
-
-    for node in topo:
-        if codes[node] in _SKIP_CODES:
-            continue
-        cands = _score_node(
-            codes, row_leaves, row_bits, db.node_rows(node), mffc, node
-        )
-        if not cands:
-            continue
-        cands_of[node] = cands
-        best_gain = max(c[0] for c in cands)
-        if priority == "topo":
-            key = (rank[node], 0)
-        else:
-            key = (-best_gain, rank[node])
-        heap.append((key, node, best_gain))
-    heapq.heapify(heap)
-    stats["scored_nodes"] += len(cands_of)
-
-    claimed: set = set()
-    accepted = 0
-    while heap:
-        _key, node, queued_gain = heapq.heappop(heap)
-        if node in claimed:
-            stats["dropped_claimed"] += 1
-            continue
-        best = _pick_unblocked(cands_of[node], claimed)
-        if best is None:
-            stats["dropped_blocked"] += 1
-            continue
-        gain, _idx, leaves, cubes, cone = best
-        if priority == "gain" and gain < queued_gain:
-            # lazy revalidation: the optimistic key went stale (an
-            # acceptance blocked the queued best) — re-key and re-queue
-            # instead of applying out of priority order
-            stats["requeued"] += 1
-            heapq.heappush(heap, ((-gain, rank[node]), node, gain))
-            continue
-        new_root = synthesize_sop(work, list(leaves), cubes)
-        work.substitute(node, new_root)
-        claimed |= cone
-        claimed.add(node)
-        accepted += 1
-    return work, accepted
-
-
-_STAT_KEYS = (
-    "passes_run",
-    "accepted",
-    "scored_nodes",
-    "dropped_claimed",
-    "dropped_blocked",
-    "requeued",
-    "cone_cache_hits",
-    "cone_cache_misses",
-    "cones_carried",
-    "cuts_reused",
-    "cuts_rebuilt",
-)
+_STAT_KEYS = ("accepted", "scored_nodes", "dropped_blocked")
 
 
 def refactor(
     net: LogicNetwork,
     cut_size: int = 4,
     cuts_per_node: int = 8,
-    passes: int = 1,
-    priority: str = "topo",
     stats: Optional[Dict[str, int]] = None,
 ) -> Tuple[LogicNetwork, int]:
-    """Priority-queue refactoring; returns ``(new_network, accepted_rewrites)``.
+    """One topological rewrite sweep; returns ``(new_network, accepted_rewrites)``.
 
-    ``priority="topo"`` (default) drains the queue in topological order
-    and is bit-identical to :func:`refactor_reference`;
-    ``priority="gain"`` drains by descending gain (equivalence-preserving
-    but a different acceptance order).  ``passes`` runs up to that many
-    rewrite passes, carrying cut/MFFC analyses incrementally across the
-    inter-pass strash (stopping early once a pass accepts nothing).
-    Pass a dict as ``stats`` to receive kernel counters (scored nodes,
-    queue invalidations, analysis reuse).
+    Bit-identical to :func:`refactor_reference`.  Pass a dict as
+    ``stats`` to receive kernel counters (``accepted``, ``scored_nodes``
+    and ``dropped_blocked``: scored nodes whose every candidate was
+    blocked by an earlier acceptance); counts add to any values already
+    in the dict.
     """
-    if priority not in ("topo", "gain"):
-        raise NetworkError(f"unknown refactor priority: {priority!r}")
-    if passes < 1:
-        raise NetworkError("refactor needs at least one pass")
     st: Dict[str, int] = stats if stats is not None else {}
     for key in _STAT_KEYS:
         st.setdefault(key, 0)
 
-    current = net
-    db = cached_cut_database(current, k=cut_size, cuts_per_node=cuts_per_node)
-    mffc = MffcComputer(current)
-    total_accepted = 0
+    db = cached_cut_database(net, k=cut_size, cuts_per_node=cuts_per_node)
+    mffc = MffcComputer(net)
+    work = net.clone()
+    codes = flat_arrays(net)[0]
+    row_leaves, row_bits = db.raw_rows()
+    scored: List[Tuple[int, List[tuple]]] = []
+    for node in net.topological_order():
+        if codes[node] in _SKIP_CODES:
+            continue
+        cands = _score_node(
+            codes, row_leaves, row_bits, db.node_rows(node), mffc, node
+        )
+        if cands:
+            scored.append((node, cands))
+    st["scored_nodes"] += len(scored)
 
-    for p in range(passes):
-        work, accepted = _refactor_pass(current, db, mffc, priority, st)
-        st["passes_run"] += 1
-        st["accepted"] += accepted
-        st["cone_cache_hits"] += mffc.cache_hits
-        st["cone_cache_misses"] += mffc.cache_misses
-        total_accepted += accepted
-        swept, nm = strash(work)
-        if accepted == 0:
-            return swept, total_accepted
-        if p + 1 < passes:
-            # restrict the remap event to the pass input's ids (the SOP
-            # nodes appended to the work copy have no analysis to carry)
-            limit = current.num_nodes()
-            nm_dict = {o: m for o, m in nm.items() if o < limit}
-            db = db.remap(current, swept, nm_dict)
-            install_cut_database(swept, db)
-            st["cuts_reused"] += db.remap_reused
-            st["cuts_rebuilt"] += db.remap_rebuilt
-            dirty = structural_diff(current, swept, nm_dict)
-            mffc = mffc.carry_over(swept, nm_dict, dirty)
-            st["cones_carried"] += mffc.carried_entries
-        current = swept
-    return current, total_accepted
+    # a node claimed by an acceptance lies in that acceptance's fan-in
+    # cone, which the topological sweep has already passed
+    claimed: set = set()
+    accepted = 0
+    for node, cands in scored:
+        best = _pick_unblocked(cands, claimed)
+        if best is None:
+            st["dropped_blocked"] += 1
+            continue
+        _gain, _idx, leaves, cubes, cone = best
+        new_root = synthesize_sop(work, list(leaves), cubes)
+        work.substitute(node, new_root)
+        claimed |= cone
+        claimed.add(node)
+        accepted += 1
+    st["accepted"] += accepted
+    swept, _ = strash(work)
+    return swept, accepted

@@ -10,7 +10,7 @@ cache.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.network.gates import is_t1_tap
 from repro.network.logic_network import LogicNetwork, flat_arrays
@@ -78,56 +78,6 @@ def transitive_fanout(net: LogicNetwork, roots: Iterable[int]) -> Set[int]:
         seen.add(u)
         stack.extend(fanouts[u])
     return seen
-
-
-def structural_diff(
-    old_net: LogicNetwork, new_net: LogicNetwork, node_map: Mapping
-) -> Set[int]:
-    """New-net nodes whose fanin-side context differs from their preimage.
-
-    ``node_map`` is the old-id -> new-id event that turned *old_net* into
-    *new_net*.  A node is a *seed* when it is new (no preimage), merged
-    (several preimages), its gate or id-translated fanin multiset
-    changed, or its fanout count changed; the returned set is the
-    transitive fanout of all seeds — the dirty region for analyses that
-    depend on transitive-fanin structure and fanout counts (MFFC cones,
-    cut sets).  Everything outside it is guaranteed to see, node for
-    node, the exact structure and reference counts its preimage saw.
-    """
-    inv: dict = {}
-    multi: Set[int] = set()
-    for o, m in node_map.items():
-        if m in inv:
-            multi.add(m)
-        else:
-            inv[m] = o
-    old_counts = old_net.compute_fanout_counts()
-    new_counts = new_net.compute_fanout_counts()
-    old_codes, old_off, old_deg, old_pool = flat_arrays(old_net)
-    new_codes, new_off, new_deg, new_pool = flat_arrays(new_net)
-    get_new = node_map.get
-    seeds: List[int] = []
-    for m in new_net.nodes():
-        o = inv.get(m)
-        if o is None or m in multi:
-            seeds.append(m)
-            continue
-        if old_codes[o] != new_codes[m]:
-            seeds.append(m)
-            continue
-        d = old_deg[o]
-        if d != new_deg[m]:
-            seeds.append(m)
-            continue
-        oo = old_off[o]
-        mapped = [get_new(old_pool[j], -1) for j in range(oo, oo + d)]
-        no = new_off[m]
-        if -1 in mapped or sorted(mapped) != sorted(new_pool[no:no + d]):
-            seeds.append(m)
-            continue
-        if old_counts[o] != new_counts[m]:
-            seeds.append(m)
-    return transitive_fanout(new_net, seeds)
 
 
 def live_nodes(net: LogicNetwork) -> Set[int]:

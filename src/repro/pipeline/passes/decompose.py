@@ -53,18 +53,11 @@ class RefactorPass:
     that shrink the MFFC.  Area-reducing and equivalence-preserving;
     insert it after ``decompose`` (or ``balance``) with
     ``Pipeline.with_pass(RefactorPass(), after="decompose")``.
-
-    ``rewrite_passes`` > 1 iterates the kernel, carrying cut/MFFC
-    analyses incrementally across the inter-pass strash; ``priority``
-    selects the queue order ("topo" = the pinned reference order,
-    "gain" = greedy max-gain).
     """
 
     name: str = "refactor"
     cut_size: int = 4
     cuts_per_node: int = 8
-    rewrite_passes: int = 1
-    priority: str = "topo"
 
     def run(self, ctx: FlowContext) -> FlowContext:
         from repro.network.transforms import refactor
@@ -73,8 +66,6 @@ class RefactorPass:
             ctx.network,
             cut_size=self.cut_size,
             cuts_per_node=self.cuts_per_node,
-            passes=self.rewrite_passes,
-            priority=self.priority,
         )
         ctx.network = work
         ctx.log(

@@ -86,18 +86,11 @@ class CnfBuilder:
         self,
         net: LogicNetwork,
         pi_literals: Sequence[int],
-        nodes: Optional[Sequence[int]] = None,
-    ) -> List[Optional[int]]:
+    ) -> List[int]:
         """Tseitin-encode *net* on the given PI literals; returns PO literals.
 
         T1 cells are expanded functionally (taps encode XOR3/MAJ3/OR3 over
         the cell fanins).
-
-        *nodes* restricts the encoding to a subset (it must be closed
-        under fanin and in topological order — e.g. a transitive-fanin
-        cone filtered through ``net.topological_order()``); POs outside
-        the subset get ``None`` in the returned list.  The default
-        encodes every node.
         """
         if len(pi_literals) != len(net.pis):
             raise NetworkError("PI literal count mismatch")
@@ -106,7 +99,7 @@ class CnfBuilder:
         lit[CONST0] = -self.true_literal()
         for pi, l in zip(net.pis, pi_literals):
             lit[pi] = l
-        for node in (net.topological_order() if nodes is None else nodes):
+        for node in net.topological_order():
             g = net.gates[node]
             if g in (Gate.CONST0, Gate.CONST1, Gate.PI, Gate.T1_CELL):
                 continue
@@ -144,9 +137,7 @@ class CnfBuilder:
                 lit[node] = self.add_maj3(*fins)
             else:  # pragma: no cover - exhaustive
                 raise NetworkError(f"cannot encode gate {g.name}")
-        if nodes is None:
-            return [lit[po] for po in net.pos]
-        return [lit.get(po) for po in net.pos]
+        return [lit[po] for po in net.pos]
 
 
 def to_dimacs(num_vars: int, clauses: Sequence[Sequence[int]]) -> str:

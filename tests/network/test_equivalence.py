@@ -84,6 +84,13 @@ class TestSat:
         ob = simulate_words(b, [row])[0]
         assert oa != ob
 
+    def test_zero_po_vacuously_equivalent(self):
+        a, b = LogicNetwork("a"), LogicNetwork("b")
+        for net in (a, b):
+            net.add_pi("x0")
+        res = sat_equivalence(a, b)
+        assert res.equivalent and res.method == "sat"
+
 
 class TestDriver:
     def test_small_uses_exhaustive(self):
@@ -152,18 +159,11 @@ class TestChunkedExhaustive:
 
 
 class TestSignatureEngine:
-    def test_equivalent_pair_leaves_all_pairs_undistinguished(self):
-        a, b = make_pair(True, n=20)
-        res, undistinguished = signature_equivalence(a, b, width=256, rounds=2)
-        assert res.equivalent
-        assert undistinguished == list(range(len(a.pos)))
-
     def test_difference_yields_witness(self):
         a, b = make_pair(False, n=20)
-        res, undistinguished = signature_equivalence(a, b, width=256, rounds=2)
+        res = signature_equivalence(a, b, width=256, rounds=2)
         assert not res.equivalent
         assert res.counterexample is not None
-        assert undistinguished == []
         from repro.network import simulate_words
 
         row = [res.counterexample[f"x{i}"] for i in range(20)]
@@ -178,80 +178,18 @@ class TestSignatureEngine:
         old = eq.SIGNATURE_WIDTH_BUDGET_BITS
         eq.SIGNATURE_WIDTH_BUDGET_BITS = num_nodes * 8192
         try:
-            res, undistinguished = signature_equivalence(
-                a, b, width=32768, rounds=2
-            )
+            res = signature_equivalence(a, b, width=32768, rounds=2)
         finally:
             eq.SIGNATURE_WIDTH_BUDGET_BITS = old
         # the halved width must preserve verdict and total stimulus
-        assert res.equivalent
-        assert undistinguished == list(range(len(a.pos)))
+        assert res.equivalent and res.method == "random"
 
     def test_matches_seed_random_engine_verdicts(self):
         for equal in (True, False):
             a, b = make_pair(equal, n=18)
             seed_res = simulate_equivalence(a, b, width=256, rounds=2)
-            sig_res, _ = signature_equivalence(a, b, width=512, rounds=1)
+            sig_res = signature_equivalence(a, b, width=512, rounds=1)
             assert seed_res.equivalent == sig_res.equivalent == equal
-
-
-class TestRestrictedSatMiter:
-    def three_po_pair(self, equal_mask):
-        """Two 3-PO networks; PO i differs iff bit i of equal_mask is 0."""
-        n = 6
-        a = LogicNetwork("a")
-        pis_a = [a.add_pi(f"x{i}") for i in range(n)]
-        b = LogicNetwork("b")
-        pis_b = [b.add_pi(f"x{i}") for i in range(n)]
-        for po in range(3):
-            acc_a = pis_a[po]
-            acc_b = pis_b[po]
-            for p_a, p_b in zip(pis_a[po + 1 :], pis_b[po + 1 :]):
-                acc_a = a.add_xor(acc_a, p_a)
-                acc_b = xor_via_ands(b, acc_b, p_b)
-            if not (equal_mask >> po) & 1:
-                acc_b = b.add_not(acc_b)
-            a.add_po(acc_a, f"y{po}")
-            b.add_po(acc_b, f"y{po}")
-        return a, b
-
-    def test_pairs_subset_proves_equal_pairs(self):
-        a, b = self.three_po_pair(0b101)  # PO 1 differs
-        assert sat_equivalence(a, b, pairs=[0, 2]).equivalent
-        assert not sat_equivalence(a, b, pairs=[1]).equivalent
-        assert not sat_equivalence(a, b).equivalent
-
-    def test_pairs_none_equals_all(self):
-        a, b = self.three_po_pair(0b111)
-        assert sat_equivalence(a, b).equivalent
-        assert sat_equivalence(a, b, pairs=[0, 1, 2]).equivalent
-
-    def test_pair_index_out_of_range(self):
-        a, b = self.three_po_pair(0b111)
-        with pytest.raises(NetworkError):
-            sat_equivalence(a, b, pairs=[5])
-
-    def test_empty_pairs_vacuously_equivalent(self):
-        a, b = self.three_po_pair(0b000)  # every PO differs
-        res = sat_equivalence(a, b, pairs=[])
-        assert res.equivalent and res.method == "sat"
-
-    def test_restricted_miter_with_t1_blocks(self):
-        from repro.network import Gate
-
-        t1net = LogicNetwork()
-        a, b, c = (t1net.add_pi(f"x{i}") for i in range(3))
-        cell = t1net.add_t1_cell(a, b, c)
-        t1net.add_po(t1net.add_t1_tap(cell, Gate.T1_S))
-        t1net.add_po(t1net.add_t1_tap(cell, Gate.T1_C))
-
-        ref = LogicNetwork()
-        x, y, z = (ref.add_pi(f"x{i}") for i in range(3))
-        ref.add_po(ref.add_xor(x, y, z))
-        ref.add_po(ref.add_maj3(x, y, z))
-
-        assert sat_equivalence(t1net, ref, pairs=[0]).equivalent
-        assert sat_equivalence(t1net, ref, pairs=[1]).equivalent
 
 
 class TestT1Equivalence:
@@ -273,3 +211,30 @@ class TestT1Equivalence:
 
         assert exhaustive_equivalence(t1net, ref).equivalent
         assert sat_equivalence(t1net, ref).equivalent
+
+    def test_t1_block_full_miter(self):
+        """The SAT miter expands taps through their cell's fanins: it
+        proves the S/C taps equal XOR3/MAJ3 and finds a witness when the
+        reference swaps them."""
+        from repro.network import Gate, simulate_words
+
+        t1net = LogicNetwork()
+        a, b, c = (t1net.add_pi(f"x{i}") for i in range(3))
+        cell = t1net.add_t1_cell(a, b, c)
+        t1net.add_po(t1net.add_t1_tap(cell, Gate.T1_S))
+        t1net.add_po(t1net.add_t1_tap(cell, Gate.T1_C))
+
+        def reference(swapped):
+            ref = LogicNetwork()
+            x, y, z = (ref.add_pi(f"x{i}") for i in range(3))
+            outs = [ref.add_xor(x, y, z), ref.add_maj3(x, y, z)]
+            for o in reversed(outs) if swapped else outs:
+                ref.add_po(o)
+            return ref
+
+        assert sat_equivalence(t1net, reference(False)).equivalent
+        swapped = reference(True)
+        res = sat_equivalence(t1net, swapped)
+        assert not res.equivalent
+        row = [res.counterexample[f"x{i}"] for i in range(3)]
+        assert simulate_words(t1net, [row]) != simulate_words(swapped, [row])

@@ -1,7 +1,7 @@
 """Differential fuzz of the array-native analysis/rewrite kernels.
 
 PR 9 ported the hot loops of cut enumeration, MFFC computation,
-balancing, ``structural_diff`` and the refactor scorer onto the flat
+balancing and the refactor scorer onto the flat
 struct-of-arrays core (``gate_codes`` + CSR fanin pool).  These tests
 pin the ports two ways:
 
@@ -27,9 +27,7 @@ from repro.network import (
     balance,
     enumerate_cuts,
     enumerate_cuts_reference,
-    structural_diff,
 )
-from repro.network.cuts import cached_cut_database
 from repro.network.gates import is_t1_tap
 from repro.network.logic_network_reference import ReferenceLogicNetwork
 
@@ -97,18 +95,6 @@ class TestCutKernelDifferential:
             enumerate_cuts_reference(net, k=4)
         )
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_remap_across_compact_event(self, seed):
-        """A compact() NodeMap is just another remap event: the carried
-        database must equal from-scratch enumeration on the new net."""
-        _rng, flat, _ref = _fuzzed_pair(seed, n_ops=60)
-        db = enumerate_cuts(flat, k=3)
-        work = flat.clone()
-        nm = work.compact()
-        carried = db.remap(flat, work, nm)
-        assert rows_of(carried) == rows_of(enumerate_cuts(work, k=3))
-        assert carried.epoch == work.epoch
-
     def test_nbytes_reports_flat_storage(self):
         net = build_synthetic("datapath", 2000, seed=0)
         small = enumerate_cuts(net, k=3)
@@ -123,46 +109,6 @@ class TestCutKernelDifferential:
         node = net.num_nodes() - 1
         assert db[node][0] is db[node][0]
         assert len(db.cuts) == net.num_nodes()
-
-
-class TestCutLeafIndex:
-    def test_cut_with_leaves_hits_enumerated_cuts(self):
-        net = build_synthetic("datapath", 800, seed=2)
-        db = cached_cut_database(net, k=3)
-        node = net.num_nodes() - 1
-        for cut in db[node]:
-            assert db.cut_with_leaves(node, cut.leaves) is cut
-        assert db.cut_with_leaves(node, (0, 1)) is None
-
-    def test_index_carried_on_identity_remap(self):
-        """An id-preserving event (clone + identity map, e.g. a pass
-        that changed nothing): warm leaf indices and materialised cuts
-        ride along instead of being rebuilt per database."""
-        net = build_synthetic("datapath", 800, seed=3)
-        db = enumerate_cuts(net, k=3)
-        warm_nodes = range(net.num_nodes() - 20, net.num_nodes())
-        for node in warm_nodes:
-            db.cut_with_leaves(node, db[node][0].leaves)
-        work = net.clone()
-        nm = {n: n for n in range(net.num_nodes())}
-        carried = db.remap(net, work, nm)
-        assert carried.remap_index_carried == len(list(warm_nodes))
-        for node in warm_nodes:
-            leaves = carried[node][0].leaves
-            assert carried.cut_with_leaves(node, leaves).leaves == leaves
-
-    def test_stale_epoch_drops_index(self):
-        net = build_synthetic("datapath", 400, seed=4)
-        db = cached_cut_database(net, k=3)
-        node = net.num_nodes() - 1
-        leaves = db[node][0].leaves
-        assert db.cut_with_leaves(node, leaves) is not None
-        # simulate re-adoption at another epoch: the stamp no longer
-        # matches, so the whole index must be discarded, not served
-        db.epoch += 1
-        assert db._leaf_index_epoch != db.epoch
-        assert db.cut_with_leaves(node, leaves).leaves == leaves
-        assert db._leaf_index_epoch == db.epoch
 
 
 class TestMffcDifferential:
@@ -209,27 +155,3 @@ class TestBalanceDifferential:
         assert dict(nm_f) == dict(nm_r)
         assert out_f.structural_hash() == out_r.structural_hash()
 
-
-class TestStructuralDiffDifferential:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_compact_event_lockstep(self, seed):
-        rng, flat, ref = _fuzzed_pair(seed)
-        new_f = flat.clone()
-        nm_f = new_f.compact()
-        new_r = ref.clone()
-        nm_r = new_r.compact()
-        assert dict(nm_f) == dict(nm_r)
-        # perturb the compacted nets in lockstep so the diff is nonempty
-        n = new_f.num_nodes()
-        for _ in range(5):
-            node = rng.randrange(2, n)
-            fins = new_f.fanin(node)
-            if not fins:
-                continue
-            old = fins[rng.randrange(len(fins))]
-            new = rng.randrange(node)
-            new_f.replace_fanin(node, old, new)
-            new_r.replace_fanin(node, old, new)
-        dirty_f = structural_diff(flat, new_f, nm_f)
-        dirty_r = structural_diff(ref, new_r, nm_r)
-        assert dirty_f == dirty_r

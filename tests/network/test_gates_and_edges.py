@@ -119,7 +119,7 @@ class TestWiderCuts:
         g3 = net.add_xor(g1, g2)
         net.add_po(g3)
         db = enumerate_cuts(net, k=4)
-        cut = db.cut_with_leaves(g3, tuple(sorted(pis)))
+        cut = next((c for c in db[g3] if c.leaves == tuple(sorted(pis))), None)
         assert cut is not None
         assert cut.table == node_function_on_leaves(net, g3, cut.leaves)
 
@@ -133,7 +133,7 @@ class TestWiderCuts:
             acc = net.add_xor(acc, p)
         net.add_po(acc)
         db = enumerate_cuts(net, k=5, cuts_per_node=16)
-        cut = db.cut_with_leaves(acc, tuple(sorted(pis)))
+        cut = next((c for c in db[acc] if c.leaves == tuple(sorted(pis))), None)
         assert cut is not None
         assert cut.table.count_ones() == 16  # parity of 5 vars
 

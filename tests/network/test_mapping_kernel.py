@@ -5,7 +5,7 @@ Covers the three kernel pieces introduced by the mapping refactor:
 * the precomputed NPN tables vs the retained enumerating oracle
   (complete k=3 space, sampled k=4, transform algebra laws);
 * the allocation-light cut enumeration vs the seed per-candidate
-  reference, plus the lazy ``cut_with_leaves`` index;
+  reference;
 * the epoch-cached cut database: reuse on an unmutated network,
   invalidation by ``replace_fanin`` / ``substitute`` / ``compact`` /
   ``add_gate``.
@@ -164,15 +164,6 @@ class TestCutKernelDifferential:
         assert cuts_snapshot(db, net.num_nodes()) == cuts_snapshot(
             ref, net.num_nodes()
         )
-
-    def test_cut_with_leaves_index(self):
-        rng = random.Random(3)
-        net = random_dag(rng)
-        db = enumerate_cuts(net, k=3)
-        for node in net.nodes():
-            for cut in db[node]:
-                assert db.cut_with_leaves(node, cut.leaves) is cut
-            assert db.cut_with_leaves(node, (-1, -2, -3)) is None
 
 
 class TestCachedCutDatabase:

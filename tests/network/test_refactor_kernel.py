@@ -1,32 +1,23 @@
-"""Differential + unit tests for the priority-queue rewrite kernel.
+"""Differential + unit tests for the topological rewrite kernel.
 
-The kernel contract (PR 6): ``refactor(priority="topo")`` is
-bit-identical to the seed sweep ``refactor_reference`` — same accepted
-count, same strashed result — on any input; multi-pass refactoring with
-incremental cut/MFFC carry-over equals iterating the reference; the
-max-gain order is CEC-equivalent.  The incremental analyses
-(``CutDatabase.remap``, ``MffcComputer.carry_over``) are additionally
-pinned against from-scratch recomputation.
+The kernel contract: ``refactor`` is bit-identical to the seed sweep
+``refactor_reference`` — same accepted count, same strashed result — on
+any input, and iterating it equals iterating the reference.
 """
 
 import random
 
 import pytest
 
-from repro.circuits import ripple_carry_adder
 from repro.network import (
     LogicNetwork,
-    MffcComputer,
     TruthTable,
     check_equivalence,
-    enumerate_cuts,
     exhaustive_equivalence,
     isop,
     refactor,
     refactor_reference,
     sop_gate_count,
-    strash,
-    structural_diff,
     synthesize_sop,
     to_aig_form,
 )
@@ -48,7 +39,7 @@ def nested_redundancy_net():
     """x = (a&b)|(a&~b) == a, then y rebuilt the same way on top of x.
 
     Refactoring x claims its MFFC, which overlaps every candidate cut of
-    y — the deterministic heap-invalidation scenario.
+    y — the deterministic claimed-set invalidation scenario.
     """
     net = LogicNetwork("nested")
     a, b, c = (net.add_pi(s) for s in "abc")
@@ -78,134 +69,44 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_multi_pass_equals_iterated_reference(self, seed):
-        """passes=N with remapped cuts + carried cones == N reference runs."""
+        """Three successive kernel calls == three successive reference runs."""
         net = random_network(50 + seed, num_gates=45)
-        out_k, n_k = refactor(net, passes=3)
-        cur, total = net, 0
+        out_k, n_k = net, 0
+        out_r, n_r = net, 0
         for _ in range(3):
-            cur, accepted = refactor_reference(cur)
-            total += accepted
-            if accepted == 0:
-                break
-        assert n_k == total
-        assert fingerprint(out_k) == fingerprint(cur)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_gain_priority_equivalent_and_never_grows(self, seed):
-        net = random_network(80 + seed, num_gates=40)
-        out, _ = refactor(net, priority="gain")
-        assert out.num_gates() <= net.num_gates()
-        assert check_equivalence(net, out, complete=True).equivalent
+            out_k, accepted = refactor(out_k)
+            n_k += accepted
+            out_r, accepted = refactor_reference(out_r)
+            n_r += accepted
+        assert n_k == n_r
+        assert fingerprint(out_k) == fingerprint(out_r)
 
 
 class TestHeapInvalidation:
     def test_acceptance_blocks_queued_candidate(self):
-        """x's acceptance claims nodes that invalidate y's queued cuts."""
+        """x's acceptance claims nodes that invalidate y's scored cuts."""
         net = nested_redundancy_net()
         stats = {}
         out, accepted = refactor(net, stats=stats)
         _ref, ref_accepted = refactor_reference(net)
         assert accepted == ref_accepted == 1
-        # y was scored with positive gain, but by pop time every one of
-        # its candidates hit the claimed set (leaf or cone overlap) and
-        # the entry was dropped instead of applied
+        # y was scored with positive gain, but by the time the sweep
+        # reaches it every one of its candidates hits the claimed set
+        # (leaf or cone overlap), so it is dropped instead of applied
         assert stats["scored_nodes"] >= 2
         assert stats["dropped_blocked"] >= 1
         assert exhaustive_equivalence(net, out).equivalent
 
-    def test_gain_order_drops_claimed_node(self):
-        """Max-gain pops y first; x is then claimed inside y's cone."""
-        net = nested_redundancy_net()
-        stats = {}
-        out, accepted = refactor(net, priority="gain", stats=stats)
-        assert accepted == 1
-        assert stats["dropped_claimed"] >= 1
-        assert exhaustive_equivalence(net, out).equivalent
-        # the single gain-ordered rewrite collapses both layers at once
-        assert out.num_gates() == 0
-
     def test_stats_accumulate_across_passes(self):
         net = random_network(7, num_gates=40)
         stats = {}
-        refactor(net, passes=3, stats=stats)
-        assert stats["passes_run"] >= 2
-        assert stats["cuts_reused"] + stats["cuts_rebuilt"] > 0
-
-
-def _rewrite_once(net, k=4):
-    """One accepted-style rewrite on a clone + strash, as the kernel does.
-
-    Returns ``(swept, node_map restricted to net's ids)`` — the inputs
-    the incremental analyses are driven with between passes.
-    """
-    db = enumerate_cuts(net, k=k, cuts_per_node=8)
-    work = net.clone()
-    target = None
-    for node in reversed(net.topological_order()):
-        if not net.is_logic(node):
-            continue
-        for cut in db[node]:
-            if len(cut.leaves) >= 2 and node not in cut.leaves:
-                target = (node, cut)
-                break
-        if target:
-            break
-    assert target is not None
-    node, cut = target
-    new_root = synthesize_sop(work, list(cut.leaves), isop(cut.table))
-    work.substitute(node, new_root)
-    swept, nm = strash(work)
-    return db, swept, {o: m for o, m in nm.items() if o < net.num_nodes()}
-
-
-class TestIncrementalAnalyses:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_cut_remap_matches_fresh_enumeration(self, seed):
-        net = random_network(seed, num_gates=40)
-        db, swept, nm = _rewrite_once(net)
-        remapped = db.remap(net, swept, nm)
-        fresh = enumerate_cuts(swept, k=4, cuts_per_node=8)
-        for a, b in zip(remapped.cuts, fresh.cuts):
-            assert [(c.leaves, c.table.bits) for c in a] == [
-                (c.leaves, c.table.bits) for c in b
-            ]
-        assert remapped.full_counts == fresh.full_counts
-        n_logic = sum(1 for n in swept.nodes() if swept.is_logic(n))
-        assert remapped.remap_reused + remapped.remap_rebuilt == n_logic
-
-    def test_cut_remap_reuses_clean_region(self):
-        # a wide adder keeps most of the network untouched by one rewrite
-        net = ripple_carry_adder(8)
-        db, swept, nm = _rewrite_once(net)
-        remapped = db.remap(net, swept, nm)
-        assert remapped.remap_reused > remapped.remap_rebuilt
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_mffc_carry_over_matches_fresh(self, seed):
-        net = random_network(30 + seed, num_gates=40)
-        db, swept, nm = _rewrite_once(net)
-        warm = MffcComputer(net)
-        for node in net.nodes():
-            for cut in db[node]:
-                if len(cut.leaves) >= 2 and node not in cut.leaves:
-                    warm.mffc(node, boundary=cut.leaves)
-        dirty = structural_diff(net, swept, nm)
-        carried = warm.carry_over(swept, nm, dirty)
-        fresh = MffcComputer(swept)
-        new_db = enumerate_cuts(swept, k=4, cuts_per_node=8)
-        for node in swept.nodes():
-            for cut in new_db[node]:
-                if len(cut.leaves) >= 2 and node not in cut.leaves:
-                    assert carried.mffc(node, boundary=cut.leaves) == fresh.mffc(
-                        node, boundary=cut.leaves
-                    ), (seed, node, cut.leaves)
-
-    def test_structural_diff_flags_only_changed_fanout_region(self):
-        net = ripple_carry_adder(6)
-        _db, swept, nm = _rewrite_once(net)
-        dirty = structural_diff(net, swept, nm)
-        assert dirty  # the rewrite touched something
-        assert len(dirty) < swept.num_nodes()  # ...but not everything
+        cur, total = net, 0
+        for _ in range(3):
+            cur, accepted = refactor(cur, stats=stats)
+            total += accepted
+        assert set(stats) == {"accepted", "scored_nodes", "dropped_blocked"}
+        assert stats["accepted"] == total > 0
+        assert stats["scored_nodes"] >= total
 
 
 class TestMemoisedResynthesis:

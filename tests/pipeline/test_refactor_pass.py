@@ -33,10 +33,7 @@ class TestRefactorPass:
 
         pipe = (
             Pipeline.standard(verify="cec")
-            .with_pass(
-                RefactorPass(rewrite_passes=2, priority="gain"),
-                after="decompose",
-            )
+            .with_pass(RefactorPass(), after="decompose")
             .with_hooks(on_pass_end=snap)
         )
         ctx = pipe.run(net)

@@ -83,9 +83,18 @@ def test_run_per_edge_insertion(capsys):
     assert "#DFF" in capsys.readouterr().out
 
 
-def test_unknown_benchmark():
-    with pytest.raises(SystemExit):
-        main(["run", "nonesuch"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "nonesuch"],
+        ["run", "adder", "--scale", "100"],
+        ["table", "adder", "--resume"],
+    ],
+    ids=["unknown-benchmark", "scale-on-registry", "resume-without-journal"],
+)
+def test_user_errors_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parser_has_all_commands():
