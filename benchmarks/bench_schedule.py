@@ -10,9 +10,6 @@ trajectory started by ``bench_kernel.py``:
   run** on the same netlists, with the speedup per circuit;
 * **delta evaluation** — mean cost of one ``state_if_moved`` probe vs
   one seed-style ``local_cost`` rescan on the largest registry netlist;
-* **ILP model build** — time to build the §II-B model on the
-  :class:`~repro.solvers.model.SolverModel` IR and lower it to the MILP
-  backend (small circuit, the exact path of ``method="auto"``);
 * **scale** — the kernel heuristic on mapped ``datapath`` synthetics
   (2k/4k/8k nodes, plus 20k in the full run): cells, PO nets, seconds,
   probes (``moves_evaluated``) and ``_net_term_cost`` calls per probe.
@@ -54,7 +51,6 @@ from repro.core import schedule as schedule_module
 from repro.core.phase_assignment import (
     assign_stages_heuristic,
     assign_stages_rescan_reference,
-    build_ilp_model,
 )
 from repro.core.schedule import StageSchedule
 from repro.errors import TimingError
@@ -247,20 +243,6 @@ def check_ratchet(scale):
     ]
 
 
-def bench_ilp_model_build(preset):
-    """IR build time of the §II-B exact model on a small netlist."""
-    nl = mapped_netlist("adder" if preset == "ci" else "c6288", "ci")
-    t0 = time.perf_counter()
-    model, sigma, k_vars = build_ilp_model(nl)
-    t_build = time.perf_counter() - t0
-    return {
-        "cells": len(nl.cells),
-        "variables": len(model.vars),
-        "constraints": len(model.constraints),
-        "build_seconds": round(t_build, 6),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -288,7 +270,6 @@ def main(argv=None) -> int:
         },
         "heuristic": bench_heuristic(circuits, preset, failures),
         "delta_probe": bench_delta_probe(preset, failures),
-        "ilp_model_build": bench_ilp_model_build(preset),
         "scale": scale,
         "ratchet": {
             "max_net_term_calls_per_probe": RATCHET_CALLS_PER_PROBE,

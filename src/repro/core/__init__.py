@@ -16,10 +16,7 @@ from repro.core.dff_insertion import (
 )
 from repro.core.phase_assignment import (
     HeuristicReport,
-    assign_stages,
     assign_stages_heuristic,
-    assign_stages_ilp,
-    build_ilp_model,
     t1_lower_bound,
 )
 from repro.core.schedule import StageSchedule, asap_stages
@@ -61,10 +58,7 @@ __all__ = [
     "TableRow",
     "apply_candidates",
     "asap_stages",
-    "assign_stages",
     "assign_stages_heuristic",
-    "assign_stages_ilp",
-    "build_ilp_model",
     "detect_and_replace",
     "find_candidates",
     "fmt_thousands",

@@ -1,27 +1,17 @@
 """Phase assignment (§II-B of the paper): give every clocked cell a stage.
 
-Two engines over the same constraint system:
+:func:`assign_stages_heuristic` is the one phase engine: coordinate
+descent on the :class:`~repro.core.schedule.StageSchedule` kernel, which
+prices the *true* insertion cost (shared per-net chains + the exact T1
+staggering cost of eq. 4, via the same planner DFF insertion uses) with
+delta-evaluated moves and a live PO boundary, starting from an ASAP
+schedule.  The paper solves this step with an ILP; the tests hold the
+heuristic to within 2 DFFs of an exhaustive search over the same cost
+on small netlists.
 
-* :func:`assign_stages_ilp` — the paper's ILP, built once on the
-  :class:`~repro.solvers.model.SolverModel` IR and solved on the MILP
-  backend (per-edge DFF counters ``k_e`` with ``n·k_e ≥ σ_v − σ_u``,
-  objective ``Σ (k_e − 1)``; the T1 constraint (eq. 3) is encoded with a
-  permutation of the offsets {1, 2, 3} over the three fanins).  Exact but
-  exponential in the worst case — used for small netlists and as the
-  reference in tests.
-* :func:`assign_stages_heuristic` — scalable coordinate descent on the
-  :class:`~repro.core.schedule.StageSchedule` kernel, which prices the
-  *true* insertion cost (shared per-net chains + the exact T1 staggering
-  cost of eq. 4, via the same planner DFF insertion uses) with
-  delta-evaluated moves and a live PO boundary, starting from an ASAP
-  schedule.  This is what the flow runs on paper-scale circuits.
+Constraints:
 
-``assign_stages(..., method="auto")`` routes between the two by netlist
-size: small netlists get the exact ILP, everything else the heuristic.
-
-Constraints (both engines):
-
-* PIs are fixed at stage 0;
+* PIs arrive in epoch 0 (stage 0..n−1, or pinned at 0);
 * ordinary consumer:  σ(v) ≥ σ(u) + 1;
 * T1 consumer:        σ(T1) ≥ max(σ(i1)+3, σ(i2)+2, σ(i3)+1)   (eq. 3)
   for its fanins sorted by stage.
@@ -31,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.core.schedule import (
     INF,
@@ -40,8 +30,6 @@ from repro.core.schedule import (
     t1_lower_bound,
     _t1_eval,
 )
-from repro import faults
-from repro.errors import FaultInjected, SolverError, SolverLimitError
 from repro.sfq.multiphase import edge_dffs
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 
@@ -362,217 +350,3 @@ def assign_stages_rescan_reference(
         structure=st,
     ).total()
     return report
-
-
-# ---------------------------------------------------------------------------
-# exact ILP (the paper's formulation, on the solver-model IR)
-# ---------------------------------------------------------------------------
-
-def build_ilp_model(
-    netlist: SFQNetlist,
-    horizon: Optional[int] = None,
-):
-    """Build the paper's phase-assignment ILP on the solver-model IR.
-
-    Returns ``(model, sigma, k_vars)`` where *sigma* maps clocked cell
-    indices to their stage variables.  The model carries no
-    ``AllDifferent``, so ``solve(backend="auto")`` routes it to MILP.
-    """
-    from repro.solvers import SolverModel
-
-    st = netlist.structure()
-    n = st.n
-    asap = asap_stages(st)
-    max_asap = max(
-        (s for i, s in enumerate(asap) if st.clocked[i] and s is not None),
-        default=0,
-    )
-    if horizon is None:
-        horizon = max_asap + 2 * n
-    model = SolverModel()
-    sigma: Dict[int, object] = {}
-    for cell in netlist.cells:
-        if cell.clocked:
-            sigma[cell.index] = model.add_var(
-                1, horizon, name=f"sigma{cell.index}"
-            )
-
-    k_vars = []
-    for cell in netlist.cells:
-        if not cell.clocked:
-            continue
-        v = cell.index
-        if st.is_t1[v]:
-            # offset permutation z[i][o]: fanin i gets offset o in {1, 2, 3}
-            zs = [
-                [model.add_var(0, 1, name=f"z{v}_{i}_{o}") for o in (1, 2, 3)]
-                for i in range(3)
-            ]
-            for i in range(3):
-                model.add_linear(
-                    {zs[i][0]: 1, zs[i][1]: 1, zs[i][2]: 1}, "==", 1
-                )
-            for o in range(3):
-                model.add_linear(
-                    {zs[0][o]: 1, zs[1][o]: 1, zs[2][o]: 1}, "==", 1
-                )
-            for i, d in enumerate(st.fanin_drivers[v]):
-                coeffs = {sigma[v]: 1}
-                const = 0
-                if netlist.cells[d].kind is CellKind.PI:
-                    pass  # sigma_d == 0
-                else:
-                    coeffs[sigma[d]] = -1
-                # sigma_v - sigma_d >= 1*z1 + 2*z2 + 3*z3
-                coeffs[zs[i][0]] = coeffs.get(zs[i][0], 0) - 1
-                coeffs[zs[i][1]] = coeffs.get(zs[i][1], 0) - 2
-                coeffs[zs[i][2]] = coeffs.get(zs[i][2], 0) - 3
-                model.add_linear(coeffs, ">=", const)
-        # per-edge DFF counters for every fanin edge
-        for d in st.fanin_drivers[v]:
-            k = model.add_var(1, horizon, name=f"k_{d}_{v}")
-            k_vars.append(k)
-            coeffs = {k: n, sigma[v]: -1}
-            if netlist.cells[d].kind is not CellKind.PI:
-                coeffs[sigma[d]] = 1
-            model.add_linear(coeffs, ">=", 0)
-            # plain precedence for non-T1 consumers
-            if not st.is_t1[v]:
-                pc = {sigma[v]: 1}
-                if netlist.cells[d].kind is not CellKind.PI:
-                    pc[sigma[d]] = -1
-                model.add_linear(pc, ">=", 1)
-
-    model.minimize({k: 1 for k in k_vars})
-    return model, sigma, k_vars
-
-
-def assign_stages_ilp(
-    netlist: SFQNetlist,
-    horizon: Optional[int] = None,
-    node_limit: int = 50_000,
-    time_budget_s: Optional[float] = None,
-) -> None:
-    """Exact phase assignment on the MILP backend; small netlists only.
-
-    Objective: per-edge DFF proxy Σ(k_e − 1) with n·k_e ≥ σ_v − σ_u — the
-    formulation of ref. [10] extended with the T1 offset permutation of
-    eq. 3.  Sets ``cell.stage`` in place.  *time_budget_s* caps the
-    wall-clock spent in the search (see :meth:`SolverModel.solve`).
-    """
-    model, sigma, _ = build_ilp_model(netlist, horizon=horizon)
-    sol = model.solve(
-        backend="auto", node_limit=node_limit, time_budget_s=time_budget_s
-    )
-    for cell in netlist.cells:
-        if cell.clocked:
-            cell.stage = sol.int_value(sigma[cell.index])
-
-
-#: method="auto" runs the exact ILP when the netlist is at most this many
-#: clocked cells (and at most AUTO_ILP_MAX_T1 T1 blocks — each T1 adds a
-#: 3x3 permutation sub-model), falling back to the heuristic above that.
-AUTO_ILP_MAX_CELLS = 24
-AUTO_ILP_MAX_T1 = 4
-
-#: wall-clock budget for the exact branch of method="auto": a search
-#: that runs past this falls back to the heuristic (degraded result)
-#: instead of stalling the flow.
-AUTO_TIME_BUDGET_S = 10.0
-
-
-def _heuristic_info(
-    report: HeuristicReport, degraded: bool = False, reason: Optional[str] = None
-) -> Dict[str, object]:
-    """:func:`assign_stages` info dict of a heuristic run."""
-    return {
-        "method": "heuristic",
-        "degraded": degraded,
-        "reason": reason,
-        "sweeps_run": report.sweeps_run,
-        "moves_evaluated": report.moves_evaluated,
-        "moves_applied": report.moves_applied,
-    }
-
-
-def assign_stages(
-    netlist: SFQNetlist,
-    method: str = "heuristic",
-    **kwargs,
-) -> Dict[str, object]:
-    """Dispatch on *method* ("heuristic", "ilp" or "auto").
-
-    ``method="auto"`` picks exact-vs-heuristic by size: netlists with at
-    most :data:`AUTO_ILP_MAX_CELLS` clocked cells (and at most
-    :data:`AUTO_ILP_MAX_T1` T1 blocks) get the exact ILP; larger ones the
-    kernel heuristic.  The exact search runs under a node budget and a
-    wall-clock budget (``time_budget_s``, default
-    :data:`AUTO_TIME_BUDGET_S`); exhausting either — with or without an
-    incumbent — degrades to the heuristic instead of failing or
-    committing an unproven solution.
-
-    Returns an info dict: ``method`` ("heuristic" or "ilp") is the
-    engine that produced the committed stages, ``degraded`` is True only
-    when the exact engine was attempted and fell back, and ``reason``
-    says why.  When the heuristic ran, the dict also carries its
-    ``sweeps_run``, ``moves_evaluated`` and ``moves_applied``.  The
-    ``solver.exact`` fault point (see :mod:`repro.faults`) forces that
-    fallback deterministically.
-
-    Note that the two engines optimise different objectives: the ILP is
-    exact on the per-edge proxy Σ(k_e − 1) with PIs pinned at stage 0,
-    so the heuristic-only knobs (``sweeps``, ``include_po_balancing``,
-    ``free_pi_phases``) do not apply on the exact branch.
-    """
-    if method == "heuristic":
-        return _heuristic_info(assign_stages_heuristic(netlist, **kwargs))
-    elif method == "ilp":
-        assign_stages_ilp(netlist, **kwargs)
-        return {"method": "ilp", "degraded": False, "reason": None}
-    elif method == "auto":
-        ilp_kwargs = {
-            k: kwargs[k]
-            for k in ("horizon", "node_limit", "time_budget_s")
-            if k in kwargs
-        }
-        heur_kwargs = {k: v for k, v in kwargs.items() if k not in ilp_kwargs}
-        clocked = sum(1 for c in netlist.cells if c.clocked)
-        n_t1 = sum(1 for c in netlist.cells if c.kind is CellKind.T1)
-        if clocked <= AUTO_ILP_MAX_CELLS and n_t1 <= AUTO_ILP_MAX_T1:
-            reason: Optional[str] = None
-            try:
-                faults.fire(
-                    "solver.exact", "simulated exact-solver failure"
-                )
-                model, sigma, _ = build_ilp_model(
-                    netlist, horizon=ilp_kwargs.get("horizon")
-                )
-                sol = model.solve(
-                    backend="auto",
-                    node_limit=ilp_kwargs.get("node_limit", 50_000),
-                    time_budget_s=ilp_kwargs.get(
-                        "time_budget_s", AUTO_TIME_BUDGET_S
-                    ),
-                )
-            except FaultInjected as exc:
-                sol = None
-                reason = str(exc)
-            except SolverLimitError as exc:
-                sol = None  # no incumbent within the budgets
-                reason = f"exact search budget exhausted: {exc}"
-            if sol is not None and sol.optimal:
-                for cell in netlist.cells:
-                    if cell.clocked:
-                        cell.stage = sol.int_value(sigma[cell.index])
-                return {"method": "ilp", "degraded": False, "reason": None}
-            if sol is not None:
-                reason = (
-                    "exact search budget exhausted with unproven incumbent"
-                )
-            # budget exhausted (unproven incumbent or none) -> heuristic
-            return _heuristic_info(
-                assign_stages_heuristic(netlist, **heur_kwargs), True, reason
-            )
-        return _heuristic_info(assign_stages_heuristic(netlist, **heur_kwargs))
-    else:
-        raise SolverError(f"unknown phase-assignment method {method!r}")

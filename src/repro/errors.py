@@ -49,10 +49,6 @@ class InfeasibleError(SolverError):
     """The model has no feasible solution."""
 
 
-class UnboundedError(SolverError):
-    """The LP relaxation is unbounded."""
-
-
 class SolverLimitError(SolverError):
     """A solver hit its node/conflict/iteration limit before finishing."""
 

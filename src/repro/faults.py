@@ -1,6 +1,6 @@
 """Deterministic, seedable fault injection for resilience testing.
 
-The service layer, batch runner and solver backends are sprinkled with
+The service layer and batch runner are sprinkled with
 named *fault points* — ``faults.should_fire("worker.crash")`` — that are
 inert unless a fault *plan* is installed.  A plan maps point names to
 trigger rules and is fully deterministic given its seed, so CI can

@@ -36,7 +36,6 @@ from repro.pipeline.passes import (
     BalancePass,
     DecomposePass,
     DffInsertPass,
-    IlpPhasePass,
     MapPass,
     PhaseAssignPass,
     RefactorPass,
@@ -52,7 +51,6 @@ __all__ = [
     "DecomposePass",
     "DffInsertPass",
     "FlowContext",
-    "IlpPhasePass",
     "MapPass",
     "Pass",
     "PhaseAssignPass",

@@ -17,14 +17,13 @@ from repro.pipeline.passes.decompose import (
 from repro.pipeline.passes.dff_insert import DffInsertPass, SplitterPass
 from repro.pipeline.passes.finalize import VerifyMetricsPass, verify_streaming
 from repro.pipeline.passes.mapping import MapPass
-from repro.pipeline.passes.phase_assign import IlpPhasePass, PhaseAssignPass
+from repro.pipeline.passes.phase_assign import PhaseAssignPass
 from repro.pipeline.passes.t1_detect import T1DetectPass
 
 __all__ = [
     "BalancePass",
     "DecomposePass",
     "DffInsertPass",
-    "IlpPhasePass",
     "MapPass",
     "PhaseAssignPass",
     "RefactorPass",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.phase_assignment import assign_stages
+from repro.core.phase_assignment import assign_stages_heuristic
 from repro.errors import PipelineError
 from repro.pipeline.context import FlowContext
 
@@ -13,14 +13,11 @@ from repro.pipeline.context import FlowContext
 class PhaseAssignPass:
     """Assign clock stages to every cell of the mapped netlist.
 
-    ``method="heuristic"`` runs the delta-evaluated coordinate-descent
-    sweeps on the :class:`~repro.core.schedule.StageSchedule` kernel;
-    ``method="ilp"`` solves the exact per-edge objective on the MILP
-    backend (small netlists only — see :class:`IlpPhasePass`);
-    ``method="auto"`` picks exact-vs-heuristic by netlist size.
+    Runs the delta-evaluated coordinate-descent sweeps on the
+    :class:`~repro.core.schedule.StageSchedule` kernel and logs their
+    probe counts.
     """
 
-    method: str = "heuristic"
     sweeps: int = 4
     balance_pos: bool = True
     free_pi_phases: bool = True
@@ -31,41 +28,15 @@ class PhaseAssignPass:
             raise PipelineError(
                 "phase_assign needs a mapped netlist — run 'map_to_sfq' first"
             )
-        if self.method in ("heuristic", "auto"):
-            info = assign_stages(
-                ctx.netlist,
-                method=self.method,
-                sweeps=self.sweeps,
-                include_po_balancing=self.balance_pos,
-                free_pi_phases=self.free_pi_phases,
-            )
-        else:
-            info = assign_stages(ctx.netlist, method=self.method)
-        if info.get("degraded"):
-            # surfaced in the flow report so a budget-limited exact run
-            # is distinguishable from a clean one
-            ctx.extras["degraded"] = True
-            ctx.extras["degraded_reason"] = (
-                f"phase_assign: {info.get('reason') or 'exact solver fell back'}"
-            )
-            ctx.log(
-                f"phase_assign: degraded to {info['method']} "
-                f"({info.get('reason')})"
-            )
-        stats = "".join(
-            f" {key}={info[key]}"
-            for key in ("sweeps_run", "moves_evaluated", "moves_applied")
-            if key in info
+        report = assign_stages_heuristic(
+            ctx.netlist,
+            sweeps=self.sweeps,
+            include_po_balancing=self.balance_pos,
+            free_pi_phases=self.free_pi_phases,
         )
-        ctx.log(f"phase_assign: method={info['method']}{stats}")
+        ctx.log(
+            f"phase_assign: sweeps_run={report.sweeps_run} "
+            f"moves_evaluated={report.moves_evaluated} "
+            f"moves_applied={report.moves_applied}"
+        )
         return ctx
-
-
-@dataclass
-class IlpPhasePass(PhaseAssignPass):
-    """Exact ILP phase assignment; drop-in replacement for the heuristic:
-
-    ``Pipeline.standard(...).replace("phase_assign", IlpPhasePass())``
-    """
-
-    method: str = "ilp"

@@ -5,7 +5,7 @@ Pass` objects with a fluent builder::
 
     pipe = (Pipeline.standard(n_phases=4, use_t1=True)
             .without("t1_detect")                       # baseline flow
-            .replace("phase_assign", IlpPhasePass())    # exact assignment
+            .replace("phase_assign", PhaseAssignPass(sweeps=8))
             .with_pass(BalancePass(), after="decompose"))
     ctx = pipe.run(net)
 
@@ -85,7 +85,6 @@ class Pipeline:
         free_pi_phases: bool = True,
         materialize_splitters: bool = False,
         balance_network: bool = False,
-        phase_method: str = "heuristic",
         sweeps: int = 4,
         cuts_per_node: int = 8,
         t1_min_outputs: int = 2,
@@ -114,7 +113,6 @@ class Pipeline:
         passes.append(MapPass(n_phases=n_phases))
         passes.append(
             PhaseAssignPass(
-                method=phase_method,
                 sweeps=sweeps,
                 balance_pos=balance_pos,
                 free_pi_phases=free_pi_phases,

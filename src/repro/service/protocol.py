@@ -56,7 +56,6 @@ PIPELINE_DEFAULTS: Dict[str, Any] = {
     "free_pi_phases": True,
     "materialize_splitters": False,
     "balance_network": False,
-    "phase_method": "heuristic",
     "sweeps": 4,
     "cuts_per_node": 8,
     "t1_min_outputs": 2,
@@ -237,8 +236,4 @@ def flow_report(
         "timings": dict(ctx.timings),
         "events": list(ctx.events),
         "cached": cached,
-        # solver graceful degradation: True when an exact solve fell
-        # back to the heuristic (budget exhausted or injected fault)
-        "degraded": bool(ctx.extras.get("degraded", False)),
-        "degraded_reason": ctx.extras.get("degraded_reason"),
     }

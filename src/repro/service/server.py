@@ -389,7 +389,15 @@ class _FlowRequestHandler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") != "/jobs":
             self._send_error(404, f"no such endpoint: {self.path}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown: answer, then drop the connection
+            self.close_connection = True
+            raise ServiceError(f"bad Content-Length header: {header!r}")
         raw = self.rfile.read(length) if length else b""
         try:
             payload = strict_loads(raw.decode() or "null")

@@ -1,28 +1,12 @@
-"""Optimisation substrate: LP (simplex), MILP (B&B), finite-domain CP.
+"""Optimisation substrate: a finite-domain CP solver.
 
-This package replaces Google OR-Tools in the paper's flow.  The
-:class:`SolverModel` IR is the primary modelling surface: the phase
-assignment ILP (§II-B) and the DFF-insertion CP model (§II-C) both
-build one declarative model and route to a backend by capability
-(``solve(backend="auto")``).  The raw engines — :class:`MilpModel`,
-:class:`CpModel`, :func:`solve_lp` — remain available for direct use.
+:class:`CpModel` replaces Google OR-Tools' CP-SAT in the paper's flow.
+The flow itself plans T1 input slots in closed form
+(:func:`repro.core.dff_insertion.plan_t1_inputs`); the CP formulation
+of eq. 5 (:func:`repro.core.dff_insertion.plan_t1_inputs_cp`) is kept
+as its cross-check.
 """
 
 from repro.solvers.cpsat import CpModel, IntVar
-from repro.solvers.linprog import LpResult, solve_bounded_lp, solve_lp
-from repro.solvers.milp import MilpModel, MilpSolution, MilpVar
-from repro.solvers.model import ModelSolution, ModelVar, SolverModel
 
-__all__ = [
-    "CpModel",
-    "IntVar",
-    "LpResult",
-    "MilpModel",
-    "MilpSolution",
-    "MilpVar",
-    "ModelSolution",
-    "ModelVar",
-    "SolverModel",
-    "solve_bounded_lp",
-    "solve_lp",
-]
+__all__ = ["CpModel", "IntVar"]

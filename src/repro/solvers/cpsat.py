@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleError, SolverError, SolverLimitError
@@ -220,7 +219,6 @@ class CpModel:
         hi: List[int],
         watch: List[List[object]],
         node_budget: List[int],
-        deadline: Optional[float] = None,
     ) -> Optional[List[int]]:
         if not self._propagate(lo, hi, watch):
             return None
@@ -238,12 +236,10 @@ class CpModel:
             node_budget[0] -= 1
             if node_budget[0] < 0:
                 raise SolverLimitError("CP search node limit exceeded")
-            if deadline is not None and time.monotonic() >= deadline:
-                raise SolverLimitError("CP search time budget exhausted")
             lo2 = list(lo)
             hi2 = list(hi)
             lo2[best_v] = hi2[best_v] = val
-            res = self._search(lo2, hi2, watch, node_budget, deadline)
+            res = self._search(lo2, hi2, watch, node_budget)
             if res is not None:
                 return res
         return None
@@ -255,124 +251,39 @@ class CpModel:
                 watch[v].append(con)
         return watch
 
-    def solve(
-        self, node_limit: int = 200_000, deadline: Optional[float] = None
-    ) -> Dict[int, int]:
-        """Find any feasible assignment {var_index: value}.
-
-        *deadline* is an absolute ``time.monotonic()`` instant; past it
-        the search raises :class:`SolverLimitError`, like the node limit.
-        """
+    def solve(self, node_limit: int = 200_000) -> Dict[int, int]:
+        """Find any feasible assignment {var_index: value}."""
         lo = [v.lb for v in self.vars]
         hi = [v.ub for v in self.vars]
-        res = self._search(
-            lo, hi, self._watch_lists(), [node_limit], deadline
-        )
+        res = self._search(lo, hi, self._watch_lists(), [node_limit])
         if res is None:
             raise InfeasibleError("CP model infeasible")
         return {i: res[i] for i in range(len(self.vars))}
 
     def minimize(
-        self,
-        coeffs: Dict,
-        node_limit: int = 200_000,
-        deadline: Optional[float] = None,
+        self, coeffs: Dict, node_limit: int = 200_000
     ) -> Tuple[Dict[int, int], int]:
-        """Minimise a linear objective; returns (assignment, objective)."""
-        best, best_obj, _ = self.minimize_ex(
-            coeffs, node_limit=node_limit, deadline=deadline
-        )
-        return best, best_obj
+        """Minimise a linear objective; returns (assignment, objective).
 
-    def minimize_ex(
-        self,
-        coeffs: Dict,
-        node_limit: int = 200_000,
-        deadline: Optional[float] = None,
-    ) -> Tuple[Dict[int, int], int, bool]:
-        """Like :meth:`minimize`, plus an optimality-proven flag.
-
-        Bound tightening that runs out of nodes or wall-clock *after*
-        finding an incumbent returns the incumbent with ``proven=False``
-        instead of raising — the degradation chain's "best effort under
-        budget" contract.
+        Each bound-tightening step gets its own *node_limit*; running out
+        raises :class:`SolverLimitError` rather than returning an
+        unproven incumbent.
         """
         terms = self._terms(coeffs)
 
         def value(assign: Dict[int, int]) -> int:
             return sum(c * assign[v] for v, c in terms)
 
-        best = self.solve(node_limit=node_limit, deadline=deadline)
+        best = self.solve(node_limit=node_limit)
         best_obj = value(best)
         while True:
             trial = CpModel()
             trial.vars = self.vars
             trial.constraints = list(self.constraints)
-            trial.constraints.append(
-                _Linear(terms, "<=", best_obj - 1)
-            )
+            trial.constraints.append(_Linear(terms, "<=", best_obj - 1))
             try:
-                cand = trial.solve(node_limit=node_limit, deadline=deadline)
+                cand = trial.solve(node_limit=node_limit)
             except InfeasibleError:
-                return best, best_obj, True
-            except SolverLimitError:
-                return best, best_obj, False
+                return best, best_obj
             best = cand
             best_obj = value(cand)
-
-
-# ---------------------------------------------------------------------------
-# solver-model IR backend
-# ---------------------------------------------------------------------------
-
-#: IR features this backend can lower (see repro.solvers.model)
-IR_FEATURES = frozenset({"all_different", "not_equal"})
-
-
-def solve_model(model, node_limit: int = 200_000, deadline: Optional[float] = None):
-    """Lower a :class:`repro.solvers.model.SolverModel` and solve it.
-
-    Requires every variable to be an integer with finite bounds;
-    lowering preserves declaration order.  Returns
-    ``(values, objective, optimal)``.
-    """
-    cm = CpModel()
-    for v in model.vars:
-        if not v.integer:
-            raise SolverError(
-                f"CP backend needs integer variables ({v.name!r} is continuous)"
-            )
-        if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
-            raise SolverError(
-                f"CP backend needs finite domains ({v.name!r} is unbounded)"
-            )
-        cm.new_int_var(int(v.lb), int(v.ub), v.name)
-    for kind, payload in model.constraints:
-        if kind == "linear":
-            coeffs, sense, rhs = payload
-            if any(not float(c).is_integer() for c in coeffs.values()) or (
-                not float(rhs).is_integer()
-            ):
-                raise SolverError("CP backend needs integer coefficients")
-            cm.add_linear(
-                {i: int(c) for i, c in coeffs.items()}, sense, int(rhs)
-            )
-        elif kind == "alldiff":
-            cm.add_all_different([cm.vars[i] for i in payload])
-        else:  # pragma: no cover - defensive
-            raise SolverError(f"CP backend cannot lower {kind!r} constraints")
-    if not model.objective:
-        assignment = cm.solve(node_limit=node_limit, deadline=deadline)
-        return {i: float(v) for i, v in assignment.items()}, 0.0, True
-    if any(not float(c).is_integer() for c in model.objective.values()):
-        raise SolverError("CP backend needs integer objective coefficients")
-    sign = -1 if model.maximizing else 1
-    coeffs = {i: sign * int(c) for i, c in model.objective.items()}
-    assignment, total, proven = cm.minimize_ex(
-        coeffs, node_limit=node_limit, deadline=deadline
-    )
-    return (
-        {i: float(v) for i, v in assignment.items()},
-        float(sign * total),
-        proven,
-    )

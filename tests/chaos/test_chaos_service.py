@@ -42,8 +42,7 @@ CONFIGS = [
 ]
 
 #: report fields that must be reproducible (timing fields vary per run)
-SEMANTIC_FIELDS = ("benchmark", "metrics", "t1", "verified", "events",
-                   "degraded")
+SEMANTIC_FIELDS = ("benchmark", "metrics", "t1", "verified", "events")
 
 #: the in-process schedule: worker crashes, pre-dispatch pipe drops,
 #: flow errors, and a cache that fails open on both get and put.

@@ -68,6 +68,17 @@ class TestPlanT1Inputs:
     def test_cost_helper_inf(self):
         assert t1_input_cost(2, [1, 1, 1], 4) == float("inf")
 
+    def test_cp_model_matches_closed_form_near_stage_zero(self):
+        # (4, [0, 0, 0], 4): the freshness window is clipped at stage 0
+        for t1_stage, fanins, n in [
+            (6, [1, 2, 3], 4),
+            (4, [0, 0, 0], 4),
+            (5, [1, 1, 4], 3),
+        ]:
+            exact = plan_t1_inputs(t1_stage, fanins, n)
+            cp = plan_t1_inputs_cp(t1_stage, fanins, n)
+            assert cp.total_dffs == exact.total_dffs
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(3, 6),

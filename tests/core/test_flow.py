@@ -77,13 +77,6 @@ class TestRunFlow:
         assert res.verified is True
         assert res.t1_used > 0
 
-    def test_ilp_method_small(self):
-        net = ripple_carry_adder(3)
-        res = Pipeline.standard(
-            n_phases=4, use_t1=False, phase_method="ilp", verify="none"
-        ).run(net)
-        assert res.metrics.depth_cycles >= 1
-
 
 class TestReport:
     def test_fmt_thousands(self):

@@ -13,39 +13,18 @@ import random
 
 import pytest
 
-from repro.core.dff_insertion import insert_dffs
+from exact_stages import heuristic_vs_optimum, random_netlist
+from repro.core.dff_insertion import t1_input_cost
 from repro.core.phase_assignment import (
     _net_cost,
     assign_stages_heuristic,
-    assign_stages_ilp,
     assign_stages_rescan_reference,
-    assign_stages,
+    t1_stagger_cost,
 )
 from repro.core import schedule as schedule_module
 from repro.core.schedule import StageSchedule
 from repro.network.gates import Gate
-from repro.sfq.multiphase import edge_dffs
 from repro.sfq.netlist import OUT, SFQNetlist
-
-
-def random_netlist(seed, n_phases, n_pi=4, n_gates=12, n_t1=2, n_po=3):
-    """A random mapped netlist (gates + optional T1 blocks + POs)."""
-    rng = random.Random(seed)
-    nl = SFQNetlist(f"rand{seed}", n_phases=n_phases)
-    sigs = [(nl.add_pi(), OUT) for _ in range(n_pi)]
-    for _ in range(n_gates):
-        fins = [rng.choice(sigs) for _ in range(rng.choice([1, 2, 2, 3]))]
-        sigs.append((nl.add_gate(Gate.AND, fins), OUT))
-    if n_phases >= 3:
-        for _ in range(n_t1):
-            a, b, c = (rng.choice(sigs) for _ in range(3))
-            t = nl.add_t1(a, b, c)
-            for port in ("S", "C", "Q"):
-                if rng.random() < 0.7:
-                    sigs.append((t, port))
-    for _ in range(n_po):
-        nl.add_po(rng.choice(sigs))
-    return nl
 
 
 def _mapped(source, name):
@@ -343,19 +322,7 @@ class TestProbeScaling:
 
 
 class TestHeuristicQuality:
-    """Final cost <= ASAP cost; exact ILP stays the proxy lower bound."""
-
-    @staticmethod
-    def _proxy_objective(nl):
-        total = 0
-        for cell in nl.cells:
-            if not cell.clocked:
-                continue
-            for sig in cell.fanins:
-                total += edge_dffs(
-                    cell.stage - nl.cells[sig[0]].stage, nl.n_phases
-                )
-        return total
+    """Final cost <= ASAP cost and within 2 DFFs of the exact optimum."""
 
     @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
     def test_heuristic_not_worse_than_asap(self, n_phases):
@@ -368,71 +335,41 @@ class TestHeuristicQuality:
             ).total()
             assert final <= asap_cost
 
-    @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
-    def test_ilp_proxy_bounds_heuristic(self, n_phases):
-        for seed in range(6):
-            t1 = 1 if (n_phases >= 3 and seed % 2 == 0) else 0
-            nl_h = random_netlist(
-                seed, n_phases, n_pi=3, n_gates=6, n_t1=t1, n_po=2
+    @pytest.mark.parametrize("n_phases", [2, 3, 4])
+    def test_heuristic_within_two_of_optimum(self, n_phases):
+        # one T1 from n=3 on; n=4 searches are the slow ones, so fewer
+        for seed in range(12 if n_phases < 4 else 6):
+            opt, got = heuristic_vs_optimum(
+                lambda: random_netlist(
+                    seed, n_phases, n_pi=3, n_gates=5, n_t1=1, n_po=2
+                )
             )
-            nl_i = random_netlist(
-                seed, n_phases, n_pi=3, n_gates=6, n_t1=t1, n_po=2
-            )
-            assign_stages_heuristic(nl_h, free_pi_phases=False)
-            assign_stages_ilp(nl_i)
-            assert self._proxy_objective(nl_i) <= self._proxy_objective(nl_h)
+            assert opt <= got <= opt + 2, (seed, opt, got)
 
     @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
-    def test_heuristic_matches_ilp_on_chains(self, n_phases):
-        def chain(n):
-            nl = SFQNetlist("chain", n_phases=n)
+    def test_heuristic_optimal_on_chains(self, n_phases):
+        def chain():
+            nl = SFQNetlist("chain", n_phases=n_phases)
             cur = (nl.add_pi(), OUT)
             for _ in range(5):
                 cur = (nl.add_gate(Gate.AND, [cur]), OUT)
             nl.add_po(cur)
             return nl
 
-        nl_h, nl_i = chain(n_phases), chain(n_phases)
-        assign_stages_heuristic(nl_h, free_pi_phases=False)
-        assign_stages_ilp(nl_i)
-        assert insert_dffs(nl_h).total == insert_dffs(nl_i).total
+        opt, got = heuristic_vs_optimum(chain)
+        assert got == opt
 
 
-class TestAutoMethod:
-    def test_auto_small_uses_ilp(self):
-        a = random_netlist(5, 2, n_pi=3, n_gates=6, n_t1=0, n_po=2)
-        b = random_netlist(5, 2, n_pi=3, n_gates=6, n_t1=0, n_po=2)
-        assign_stages(a, method="auto")
-        assign_stages_ilp(b)
-        assert [c.stage for c in a.cells] == [c.stage for c in b.cells]
-
-    def test_auto_large_uses_heuristic(self):
-        a = mapped_registry_netlist("sin")
-        b = mapped_registry_netlist("sin")
-        assign_stages(a, method="auto", sweeps=4, free_pi_phases=True)
-        assign_stages_heuristic(b, sweeps=4, free_pi_phases=True)
-        assert [c.stage for c in a.cells] == [c.stage for c in b.cells]
-
-    def test_info_reports_heuristic_probe_counts(self):
-        a = mapped_registry_netlist("sin")
-        b = mapped_registry_netlist("sin")
-        info = assign_stages(a, method="auto")
-        report = assign_stages_heuristic(b)
-        assert info == {
-            "method": "heuristic",
-            "degraded": False,
-            "reason": None,
-            "sweeps_run": report.sweeps_run,
-            "moves_evaluated": report.moves_evaluated,
-            "moves_applied": report.moves_applied,
-        }
-
-    def test_unknown_method_raises(self):
-        from repro.errors import SolverError
-
-        nl = random_netlist(1, 2)
-        with pytest.raises(SolverError):
-            assign_stages(nl, method="simulated-annealing")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_t1_eval shifts a T1 to head=min(stage, n) and calls any fanin "
+    "that lands below stage 0 infeasible; fixing it changes stage vectors",
+)
+def test_t1_stagger_cost_matches_insertion_planner():
+    # slots (8, 7, 5): two direct arrivals and a 2-DFF chain from stage 0
+    assert t1_input_cost(9, [8, 7, 0], 4) == 2.0
+    assert t1_stagger_cost(9, [8, 7, 0], 4) == 2.0
 
 
 class TestT1CostCacheScoping:

@@ -147,8 +147,7 @@ class TestJournaledRunMany:
         for s_line, p_line in zip(s_lines[1:], p_lines[1:]):
             s_rec, p_rec = strict_loads(s_line), strict_loads(p_line)
             assert s_rec["key"] == p_rec["key"]
-            for field in ("benchmark", "metrics", "t1", "verified",
-                          "events", "degraded"):
+            for field in ("benchmark", "metrics", "t1", "verified", "events"):
                 assert s_rec["report"][field] == p_rec["report"][field]
 
 

@@ -36,6 +36,10 @@ class TestNormalizeConfig:
         with pytest.raises(ServiceError, match="unknown config key"):
             normalize_config({"phazes": 4})
 
+    def test_removed_phase_method_key_rejected(self):
+        with pytest.raises(ServiceError, match="unknown config key"):
+            normalize_config({"phase_method": "heuristic"})
+
     def test_wrong_type_rejected(self):
         with pytest.raises(ServiceError, match="expects int"):
             normalize_config({"n_phases": "4"})
@@ -160,6 +164,7 @@ class TestFlowReport:
         assert report["schema"] == REPORT_SCHEMA
         assert report["benchmark"] == "adder"
         assert report["cached"] is False
+        assert "degraded" not in report
         assert report["metrics"]["dffs"] == ctx.metrics.num_dffs
         assert report["metrics"]["area_jj"] == ctx.metrics.area_jj
         assert report["t1"] == {"found": ctx.t1_found, "used": ctx.t1_used}

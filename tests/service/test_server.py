@@ -9,6 +9,7 @@ slot and failing only that job; SIGTERM draining in-flight jobs.
 
 import os
 import signal
+import socket
 import urllib.error
 import urllib.request
 
@@ -268,6 +269,19 @@ class TestHttpLifecycle:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=10)
         assert exc_info.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_is_400(self, daemon, length):
+        # a raw socket: HTTP clients refuse to send such a header, and a
+        # -1 the server trusted would block its read until hang-up
+        host, port = daemon.httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}".encode()
+            )
+            reply = sock.makefile("rb").readline()
+        assert reply.split()[1] == b"400", reply
 
 
 class TestBackpressureHttp:

@@ -9,13 +9,13 @@ from repro.network import Gate, LogicNetwork
 from repro.network.simulation import simulate_words
 from repro.pipeline import Pipeline
 from repro.sfq import PulseSimulator, SFQNetlist, map_to_sfq, stream_compare
-from repro.core.phase_assignment import assign_stages
+from repro.core.phase_assignment import assign_stages_heuristic
 from repro.core.dff_insertion import insert_dffs
 
 
 def pipeline_of(net: LogicNetwork, n_phases: int) -> SFQNetlist:
     nl, _ = map_to_sfq(net, n_phases=n_phases)
-    assign_stages(nl, method="heuristic")
+    assign_stages_heuristic(nl)
     insert_dffs(nl)
     return nl
 

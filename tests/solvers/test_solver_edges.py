@@ -1,4 +1,4 @@
-"""Edge-case and failure-injection tests for the optimisation substrate."""
+"""Edge-case and failure-injection tests for the CP solver."""
 
 import pytest
 
@@ -6,61 +6,8 @@ from repro.errors import (
     InfeasibleError,
     SolverError,
     SolverLimitError,
-    UnboundedError,
 )
-from repro.solvers import CpModel, MilpModel, solve_lp
-
-
-class TestMilpEdges:
-    def test_unbounded_lp_relaxation(self):
-        m = MilpModel()
-        x = m.add_var(0, float("inf"))
-        m.minimize({x: -1})
-        with pytest.raises(UnboundedError):
-            m.solve()
-
-    def test_node_limit_raises_without_incumbent(self):
-        # infeasible-by-integrality problem with tiny node budget
-        m = MilpModel()
-        xs = [m.add_var(0, 1) for _ in range(12)]
-        m.add_constraint({x: 2 for x in xs}, "==", 11)  # parity conflict
-        m.minimize({x: 1 for x in xs})
-        with pytest.raises((InfeasibleError, SolverLimitError)):
-            m.solve(node_limit=1)
-
-    def test_bad_sense_rejected(self):
-        m = MilpModel()
-        x = m.add_var(0, 1)
-        with pytest.raises(SolverError):
-            m.add_constraint({x: 1}, "<", 1)
-
-    def test_bad_bounds_rejected(self):
-        m = MilpModel()
-        with pytest.raises(SolverError):
-            m.add_var(5, 3)
-
-    def test_duplicate_keys_merge(self):
-        m = MilpModel()
-        x = m.add_var(0, 10)
-        m.add_constraint({x: 1, x.index: 1}, ">=", 6)  # 2x >= 6
-        m.minimize({x: 1})
-        assert m.solve().int_value(x) == 3
-
-    def test_maximize(self):
-        m = MilpModel()
-        x = m.add_var(0, 7)
-        m.add_constraint({x: 3}, "<=", 17)
-        m.maximize({x: 1})
-        sol = m.solve()
-        assert sol.int_value(x) == 5
-        assert sol.objective == pytest.approx(5)
-
-    def test_empty_objective(self):
-        m = MilpModel()
-        x = m.add_var(2, 9)
-        m.minimize({})
-        sol = m.solve()
-        assert 2 <= sol.int_value(x) <= 9
+from repro.solvers import CpModel
 
 
 class TestCpEdges:
@@ -108,27 +55,3 @@ class TestCpEdges:
         m.add_all_different(xs)
         _, obj = m.minimize({x: 1 for x in xs})
         assert obj == 1 + 2 + 3
-
-
-class TestLpEdges:
-    def test_zero_rows_zero_cost(self):
-        res = solve_lp([0.0, 0.0])
-        assert res.objective == 0.0
-
-    def test_tight_equality_system(self):
-        # x + y = 4, x - y = 2 -> unique point (3, 1)
-        res = solve_lp(
-            [1, 1],
-            a_eq=[[1, 1], [1, -1]],
-            b_eq=[4, 2],
-        )
-        assert res.x[0] == pytest.approx(3)
-        assert res.x[1] == pytest.approx(1)
-
-    def test_redundant_equalities_ok(self):
-        res = solve_lp(
-            [1],
-            a_eq=[[1], [1]],
-            b_eq=[2, 2],
-        )
-        assert res.x[0] == pytest.approx(2)

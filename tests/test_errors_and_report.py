@@ -33,8 +33,7 @@ class TestErrorHierarchy:
         assert issubclass(errors.HazardError, errors.TimingError)
 
     def test_solver_family(self):
-        for cls in (errors.InfeasibleError, errors.UnboundedError,
-                    errors.SolverLimitError):
+        for cls in (errors.InfeasibleError, errors.SolverLimitError):
             assert issubclass(cls, errors.SolverError)
 
 

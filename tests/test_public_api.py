@@ -3,7 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +100,21 @@ def test_every_import_is_declared():
         if root not in allowed
     ]
     assert not undeclared, undeclared
+
+
+def test_flow_never_imports_numpy():
+    """The flow, CLI and service run on the standard library alone."""
+    script = (
+        "import importlib, sys\n"
+        f"for name in {PACKAGES + ['repro.cli', 'repro.service']!r}:\n"
+        "    importlib.import_module(name)\n"
+        "from repro.circuits import ripple_carry_adder\n"
+        "from repro.pipeline import Pipeline\n"
+        "assert Pipeline.standard().run(ripple_carry_adder(4)).verified\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
