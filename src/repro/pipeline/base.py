@@ -17,7 +17,14 @@ from repro.pipeline.context import FlowContext
 
 @runtime_checkable
 class Pass(Protocol):
-    """Structural interface of one pipeline stage."""
+    """Structural interface of one pipeline stage.
+
+    A pass never mutates the network it is given.  To rewrite it, build
+    or clone a new network and assign that to ``ctx.network``: the one
+    given may be the caller's source, or a decomposition that other
+    flows over the same source share (see
+    :class:`~repro.pipeline.passes.DecomposePass`).
+    """
 
     #: unique name used to address the pass in the pipeline builder
     #: (``.without("t1_detect")``, ``.replace("phase_assign", ...)``).

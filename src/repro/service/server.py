@@ -19,9 +19,10 @@ Endpoints::
     GET  /healthz            liveness + drain state
     GET  /metrics            queue/cache/worker/latency counters
 
-Error mapping: malformed requests 400, unknown jobs 404, backpressure
-429, draining 503, failed jobs surface as ``state: "failed"`` with the
-error text (the *request* for them still succeeds).
+Error mapping: malformed requests 400, unknown jobs 404, bodies over
+:data:`MAX_BODY_BYTES` 413, backpressure 429, draining 503, failed jobs
+surface as ``state: "failed"`` with the error text (the *request* for
+them still succeeds).
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ from repro.service.queue import DrainingError, Job, QueueFullError, WorkerPool
 
 #: finished-job records kept for status/result queries (oldest pruned)
 MAX_JOB_RECORDS = 4096
+
+#: largest POST body read (64 MiB); a longer one gets 413 unread.  The
+#: largest job body the repo's generators produce is the 100k-node
+#: ``cascade`` synthetic as inline ``.bench`` text, 4.5 MB of JSON
+#: (``dumps_bench(strash(build_synthetic("cascade", 100_000))[0])``
+#: wrapped by ``bench_circuit``); the biggest registry circuit
+#: (``multiplier``, paper preset) is 0.23 MB.
+MAX_BODY_BYTES = 64 * 2**20
 
 
 class FlowService:
@@ -398,6 +407,14 @@ class _FlowRequestHandler(BaseHTTPRequestHandler):
             # the body's extent is unknown: answer, then drop the connection
             self.close_connection = True
             raise ServiceError(f"bad Content-Length header: {header!r}")
+        if length > MAX_BODY_BYTES:
+            # the body is never read, so the connection cannot be reused
+            self.close_connection = True
+            raise ServiceError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             payload = strict_loads(raw.decode() or "null")

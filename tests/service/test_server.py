@@ -10,6 +10,7 @@ slot and failing only that job; SIGTERM draining in-flight jobs.
 import os
 import signal
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -25,6 +26,7 @@ from repro.service import (
     normalize_config,
     registry_circuit,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 FAST_CONFIG = {"verify": "none"}
 
@@ -282,6 +284,22 @@ class TestHttpLifecycle:
             )
             reply = sock.makefile("rb").readline()
         assert reply.split()[1] == b"400", reply
+
+    def test_oversized_body_is_413_unread(self, daemon):
+        # the header promises 10**12 bytes and only two follow: a server
+        # that read the body would block until the socket timeout
+        host, port = daemon.httpd.server_address[:2]
+        assert 10**12 > MAX_BODY_BYTES
+        started = time.monotonic()
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {10**12}\r\n\r\n{{}}".encode()
+            )
+            reply = sock.makefile("rb").read()  # to EOF: the server hangs up
+        assert time.monotonic() - started < 3
+        assert reply.split()[1] == b"413", reply
+        assert b"exceeds" in reply
 
 
 class TestBackpressureHttp:
