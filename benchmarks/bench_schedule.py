@@ -8,8 +8,10 @@ trajectory started by ``bench_kernel.py``:
   delta-evaluated kernel heuristic vs the retained seed scan-and-rebuild
   reference (``assign_stages_rescan_reference``), measured **in the same
   run** on the same netlists, with the speedup per circuit;
-* **delta evaluation** — mean cost of one ``state_if_moved`` probe vs
-  one seed-style ``local_cost`` rescan on the largest registry netlist;
+* **delta evaluation** — mean cost of one ``cost_if_moved`` probe vs
+  one seed-style ``local_cost`` rescan (which prices T1 terms with
+  ``t1_input_cost``, the insertion planner, unmemoised) on the largest
+  registry netlist;
 * **scale** — the kernel heuristic on mapped ``datapath`` synthetics
   (2k/4k/8k nodes, plus 20k in the full run): cells, PO nets, seconds,
   probes (``moves_evaluated``) and ``_net_term_cost`` calls per probe.
@@ -21,7 +23,8 @@ Contract (the CI gate): these failures exit non-zero —
 * the kernel heuristic must produce the **same stage vector** as the
   seed reference on every measured circuit;
 * the kernel's maintained cost terms must match a from-scratch
-  recomputation after the sweeps (``StageSchedule.check_invariants``);
+  recomputation after the sweeps (``StageSchedule.check_invariants``),
+  and its final cost must be finite;
 * no scale point may make more than :data:`RATCHET_CALLS_PER_PROBE`
   net-term evaluations per probe (a deterministic count, as exact as
   the two checks above).
@@ -118,6 +121,8 @@ def bench_heuristic(circuits, preset, failures):
             ).check_invariants()
         except TimingError as exc:
             failures.append(f"invariants:{name}: {exc}")
+        if rep_kernel.final_cost == float("inf"):
+            failures.append(f"final_cost:{name}: infeasible schedule")
         out[name] = {
             "cells": len(nl_kernel.cells),
             "kernel_seconds": round(t_kernel, 5),
@@ -143,11 +148,12 @@ def bench_delta_probe(preset, failures):
 
     t0 = time.perf_counter()
     for x, s in probes:
-        kernel.state_if_moved(x, s)
+        kernel.cost_if_moved(x, s)
     t_delta = (time.perf_counter() - t0) / len(probes)
 
     # the seed priced the same probe by re-summing every incident term
-    from repro.core.phase_assignment import _net_cost, t1_stagger_cost
+    from repro.core.dff_insertion import t1_input_cost
+    from repro.core.phase_assignment import _net_cost
 
     stages = kernel.stages
     boundary = kernel.boundary()
@@ -168,7 +174,7 @@ def bench_delta_probe(preset, failures):
                 return cost
             total += cost
         for t in st.t1_consumers[x]:
-            total += t1_stagger_cost(
+            total += t1_input_cost(
                 stages[t], [stages[d] for d in st.fanin_drivers[t]], st.n
             )
         return total

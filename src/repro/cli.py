@@ -32,6 +32,7 @@ from repro.circuits import benchmark_registry, build, names
 from repro.errors import ReproError
 from repro.network.logic_network import LogicNetwork
 from repro.pipeline import run_table
+from repro.pipeline.pipeline import VERIFY_MODES
 
 
 def _open_netlist(source: str):
@@ -294,7 +295,7 @@ def make_parser() -> argparse.ArgumentParser:
             help="benchmark size preset",
         )
         p_.add_argument(
-            "--verify", choices=("none", "cec", "full"), default="cec"
+            "--verify", choices=VERIFY_MODES, default="cec"
         )
         p_.add_argument("--sweeps", type=int, default=4)
         p_.add_argument("--no-po-balance", action="store_true")
@@ -340,7 +341,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--preset", choices=("paper", "ci"), default="paper"
     )
     tab_p.add_argument(
-        "--verify", choices=("none", "cec", "full"), default="none"
+        "--verify", choices=VERIFY_MODES, default="none"
     )
     tab_p.add_argument("--sweeps", type=int, default=4)
     tab_p.add_argument("--jobs", "-j", type=int, default=1,

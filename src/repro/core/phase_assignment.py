@@ -20,16 +20,10 @@ Constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Set, Tuple
 
-from repro.core.schedule import (
-    INF,
-    StageSchedule,
-    asap_stages,
-    t1_lower_bound,
-    _t1_eval,
-)
+from repro.core.dff_insertion import t1_input_cost
+from repro.core.schedule import INF, StageSchedule, asap_stages, t1_lower_bound
 from repro.sfq.multiphase import edge_dffs
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 
@@ -37,35 +31,6 @@ from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 # ---------------------------------------------------------------------------
 # true-cost evaluation (matches what DFF insertion will materialise)
 # ---------------------------------------------------------------------------
-
-#: Bound on the module-level staggering-cost memo.  The scheduling kernel
-#: uses its own per-instance memo (scoped to one netlist's lifetime); this
-#: module-global cache only serves ad-hoc `t1_stagger_cost` calls, so it is
-#: kept deliberately small for long batch runs over many netlists.
-T1_COST_CACHE_SIZE = 16_384
-
-
-@lru_cache(maxsize=T1_COST_CACHE_SIZE)
-def _t1_cost_cached(gaps: Tuple[int, int, int], n: int, head: int) -> float:
-    """Staggering cost keyed by (sorted gaps, n, clamped window head).
-
-    ``head`` is min(t1_stage, n): when the T1 sits closer than n stages to
-    stage 0 the freshness window is clipped, which changes feasibility.
-    """
-    return _t1_eval(gaps, n, head)
-
-
-def clear_t1_cost_cache() -> None:
-    """Drop the module-level staggering-cost memo (batch-runner hygiene)."""
-    _t1_cost_cached.cache_clear()
-
-
-def t1_stagger_cost(t1_stage: int, fanin_stages: Sequence[int], n: int) -> float:
-    gaps = tuple(sorted(t1_stage - s for s in fanin_stages))
-    if any(g < 1 for g in gaps):
-        return INF
-    return _t1_cost_cached(gaps, n, min(t1_stage, n))
-
 
 def _net_cost(
     driver_stage: int,
@@ -222,16 +187,11 @@ def assign_stages_heuristic(
             )
             current = stages[x]
             best_stage = current
-            g_inf, g_fin = kernel.state()
-            inc_inf = kernel.incident_inf(x) if g_inf else 0
-            # the seed's local comparison key: INF while any term incident
-            # to x is infeasible, the finite cost sum otherwise
-            best_cost = INF if inc_inf else g_fin
+            best_cost = kernel.total()
             for cand in sorted(cands):
                 if cand == current:
                     continue
-                c_inf, c_fin = kernel.state_if_moved(x, cand)
-                cost = INF if inc_inf + (c_inf - g_inf) else c_fin
+                cost = kernel.cost_if_moved(x, cand)
                 if cost < best_cost - 1e-9:
                     best_cost = cost
                     best_stage = cand
@@ -255,14 +215,15 @@ def assign_stages_rescan_reference(
     max_candidates: int = 160,
     free_pi_phases: bool = True,
 ) -> HeuristicReport:
-    """The seed scan-and-rebuild heuristic, kept verbatim as an oracle.
+    """The seed scan-and-rebuild heuristic, kept as an oracle.
 
     Re-sums every incident net/T1 term from scratch for every candidate
-    and snapshots the PO boundary once per sweep (including its stale-
-    boundary mispricing — see the kernel regression tests).  Used by the
-    differential tests and :mod:`benchmarks.bench_schedule` to measure
-    the delta-evaluation speedup in the same run; the flow itself always
-    runs the kernel-based :func:`assign_stages_heuristic`.
+    (T1 terms through :func:`~repro.core.dff_insertion.t1_input_cost`,
+    unmemoised) and snapshots the PO boundary once per sweep (including
+    its stale-boundary mispricing — see the kernel regression tests).
+    Used by the differential tests and :mod:`benchmarks.bench_schedule`
+    to measure the delta-evaluation speedup in the same run; the flow
+    itself always runs the kernel-based :func:`assign_stages_heuristic`.
     """
     st = netlist.structure()
     n = st.n
@@ -300,7 +261,7 @@ def assign_stages_rescan_reference(
             total += cost
         for t in affected_t1:
             fins = [stages[d] for d in st.fanin_drivers[t]]
-            cost = t1_stagger_cost(stages[t], fins, n)  # type: ignore[arg-type]
+            cost = t1_input_cost(stages[t], fins, n)  # type: ignore[arg-type]
             if cost == INF:
                 return INF
             total += cost

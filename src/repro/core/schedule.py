@@ -33,14 +33,20 @@ to the moved cell, so a sweep costs O(moves × changed terms) instead of
 O(moves × candidates × incident-edges); an applied move additionally
 restores the stored PO terms when it shifts the boundary.
 
+Every committed schedule is feasible: the constructor and
+:meth:`apply_move` raise :class:`~repro.errors.TimingError` rather than
+store an infeasible term, so the running total is one finite float and
+only a probe can return INF.
+
 The T1 staggering cost is memoised *per kernel instance* (the memo dies
-with the schedule), unlike the seed's unbounded module-global cache.
+with the schedule).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.dff_insertion import t1_input_cost
 from repro.errors import TimingError
 from repro.sfq.multiphase import edge_dffs_unchecked
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
@@ -73,21 +79,6 @@ def asap_stages(structure: NetlistStructure) -> List[Optional[int]]:
         else:
             stages[idx] = (max(fin) + 1) if fin else 1  # type: ignore[arg-type]
     return stages
-
-
-def _t1_eval(gaps: Tuple[int, ...], n: int, head: int) -> float:
-    """Staggering cost for (sorted gaps, clamped window head).
-
-    ``head = min(σ_T1, n)``: when the T1 sits closer than n stages to
-    stage 0 the freshness window is clipped, which changes feasibility;
-    beyond that the cost only depends on the gaps.
-    """
-    from repro.core.dff_insertion import t1_input_cost
-
-    fanins = [head - g for g in gaps]
-    if any(f < 0 for f in fanins):
-        return INF
-    return t1_input_cost(head, fanins, n)
 
 
 class _StageBag:
@@ -238,8 +229,7 @@ class StageSchedule:
         # cost terms and running total
         self._net_cost: Dict[Signal, float] = {}
         self._t1_cost: Dict[int, float] = {}
-        self._inf_terms = 0
-        self._finite = 0.0
+        self._total = 0.0
         b = self.boundary()
         for sig, bag in self._bags.items():
             ds = self.stages[sig[0]]
@@ -248,11 +238,10 @@ class StageSchedule:
             cost = _net_term_cost(
                 ds, bag.mn, bag.mx, b if sig in st.po_signals else None, self.n
             )
-            self._net_cost[sig] = cost
             if cost == INF:
-                self._inf_terms += 1
-            else:
-                self._finite += cost
+                raise TimingError(f"net {sig}: a consumer is not after its driver")
+            self._net_cost[sig] = cost
+            self._total += cost
         for i, is_t1 in enumerate(st.is_t1):
             if not is_t1:
                 continue
@@ -260,80 +249,43 @@ class StageSchedule:
                 self.stages[i],  # type: ignore[arg-type]
                 [self.stages[d] for d in st.fanin_drivers[i]],  # type: ignore[misc]
             )
-            self._t1_cost[i] = cost
             if cost == INF:
-                self._inf_terms += 1
-            else:
-                self._finite += cost
+                raise TimingError(f"T1 {i}: no feasible input staggering")
+            self._t1_cost[i] = cost
+            self._total += cost
 
     # -- cost primitives ----------------------------------------------------
 
     def _t1(self, t_stage: int, fanin_stages: Sequence[int]) -> float:
-        """Memoised staggering cost of one T1 term (eq. 4)."""
+        """Memoised staggering cost of one T1 term (eq. 4).
+
+        The cost depends only on the sorted gaps and on the window head
+        ``min(σ_T1, n)`` (a T1 closer than n stages to stage 0 has a
+        clipped freshness window), so the T1 is priced translated to that
+        head; its fanins may land below 0 there, as insertion's chains
+        start wherever the driver sits.
+        """
         gaps = tuple(sorted(t_stage - s for s in fanin_stages))
         if gaps[0] < 1:
             return INF
-        key = (gaps, min(t_stage, self.n))
+        head = min(t_stage, self.n)
+        key = (gaps, head)
         memo = self._t1_memo
         cost = memo.get(key)
         if cost is None:
-            cost = _t1_eval(gaps, self.n, key[1])
+            cost = t1_input_cost(head, [head - g for g in gaps], self.n)
             memo[key] = cost
         return cost
 
     def total(self) -> float:
-        """The maintained schedule cost (INF while any term is infeasible)."""
-        return INF if self._inf_terms else self._finite
-
-    def state(self) -> Tuple[int, float]:
-        """(infeasible term count, finite cost sum) — the move-comparison key.
-
-        Comparing states lexicographically reproduces the seed's local
-        comparison: a move that improves its incident terms is accepted
-        even while some *other* term is still infeasible (the collapsed
-        :meth:`total` is INF on both sides of such a comparison and could
-        never accept it).
-        """
-        return self._inf_terms, self._finite
+        """The maintained schedule cost (always finite)."""
+        return self._total
 
     def boundary(self) -> Optional[int]:
         """The live PO-balancing boundary (max clocked stage + 1)."""
         if not self.include_po:
             return None
         return self._max_clocked + 1
-
-    def incident_inf(self, x: int) -> int:
-        """Infeasible terms among everything incident to cell *x*.
-
-        The incident set matches the seed heuristic's "affected" set: the
-        nets *x* drives, the nets behind its fanins (even when *x* is a
-        T1 and its own fanins are not part of those nets), and the T1
-        terms touching *x*.  Combined with the global delta of
-        :meth:`state_if_moved` this reconstructs the seed's local
-        comparison key exactly: only incident terms can change on a move,
-        so ``incident_inf(x) + (inf' - inf)`` is the candidate's incident
-        infeasibility count.
-        """
-        st = self.st
-        net_cost = self._net_cost
-        cnt = 0
-        seen: Set[Signal] = set()
-        for sig in st.signals_of_cell[x]:
-            seen.add(sig)
-            if net_cost[sig] == INF:
-                cnt += 1
-        for sig in st.fanin_signals[x]:
-            if sig in seen:
-                continue
-            seen.add(sig)
-            if net_cost.get(sig) == INF:
-                cnt += 1
-        for t in st.t1_consumers[x]:
-            if self._t1_cost[t] == INF:
-                cnt += 1
-        if st.is_t1[x] and self._t1_cost[x] == INF:
-            cnt += 1
-        return cnt
 
     def _peek_max_clocked(self, s0: int, s: int) -> int:
         """Max clocked stage after moving one clocked cell s0 -> s."""
@@ -352,29 +304,28 @@ class StageSchedule:
     # -- move evaluation ----------------------------------------------------
 
     def cost_if_moved(self, x: int, s: int) -> float:
-        """Total schedule cost if cell *x* moved to stage *s* (no mutation)."""
-        inf, fin = self.state_if_moved(x, s)
-        return INF if inf else fin
+        """Total schedule cost if cell *x* moved to stage *s* (no mutation).
 
-    def state_if_moved(self, x: int, s: int) -> Tuple[int, float]:
-        """:meth:`state` if cell *x* moved to stage *s* (no mutation).
-
-        O(terms incident to x).  A move that shifts the PO boundary from
-        b0 to b1 prices every PO net it does not touch through the cached
+        INF as soon as one incident term would be infeasible.  O(terms
+        incident to x).  A move that shifts the PO boundary from b0 to b1
+        prices every PO net it does not touch through the cached
         per-boundary totals, ``P(b1) − P(b0)``, so it costs amortised
         O(terms incident to x) as well rather than O(#PO nets).
         """
         s0 = self.stages[x]
         if s == s0:
-            return self.state()
+            return self._total
         self.moves_evaluated += 1
+        return self._probe(x, s0, s)  # type: ignore[arg-type]
+
+    def _probe(self, x: int, s0: int, s: int) -> float:
+        """:meth:`cost_if_moved` for s != s0, without counting the probe."""
         st = self.st
         stages = self.stages
         n = self.n
         net_cost = self._net_cost
         bags = self._bags
-        inf = self._inf_terms
-        fin = self._finite
+        fin = self._total
         b0 = self.boundary()
         b1 = b0
         if self.include_po and st.clocked[x]:
@@ -388,20 +339,13 @@ class StageSchedule:
             new = _net_term_cost(
                 s, bag.mn, bag.mx, b1 if sig in po_signals else None, n
             )
-            old = net_cost[sig]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
+            if new == INF:
+                return INF
+            fin += new - net_cost[sig]
         # nets x consumes: one consumer entry moves in the stage multiset
         for sig, k in consumed.items():
             bag = bags[sig]
-            mn, mx = bag.peek_moved(s0, s, k)  # type: ignore[arg-type]
+            mn, mx = bag.peek_moved(s0, s, k)
             new = _net_term_cost(
                 stages[sig[0]],  # type: ignore[arg-type]
                 mn,
@@ -409,66 +353,45 @@ class StageSchedule:
                 b1 if sig in po_signals else None,
                 n,
             )
-            old = net_cost[sig]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
+            if new == INF:
+                return INF
+            fin += new - net_cost[sig]
         # T1 terms fed by x (and x's own term when x is a T1)
         for t in st.t1_consumers[x]:
             fins = [s if d == x else stages[d] for d in st.fanin_drivers[t]]
             new = self._t1(stages[t], fins)  # type: ignore[arg-type]
-            old = self._t1_cost[t]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
+            if new == INF:
+                return INF
+            fin += new - self._t1_cost[t]
         if st.is_t1[x]:
             fins = [stages[d] for d in st.fanin_drivers[x]]
             new = self._t1(s, fins)  # type: ignore[arg-type]
-            old = self._t1_cost[x]
-            if old != new:
-                if old == INF:
-                    inf -= 1
-                else:
-                    fin -= old
-                if new == INF:
-                    inf += 1
-                else:
-                    fin += new
-        # boundary shift: every feasible PO net moves from its b0 term to
-        # its b1 term.  P(b1) − P(b0) covers them all; the nets repriced
-        # above already counted their move, so take theirs back out.
-        # Infeasible PO nets stay infeasible at any b.
+            if new == INF:
+                return INF
+            fin += new - self._t1_cost[x]
+        # boundary shift: every PO net moves from its b0 term to its b1
+        # term.  P(b1) − P(b0) covers them all; the nets repriced above
+        # already counted their move, so take theirs back out.
         if b1 != b0:
             fin += self._po_total(b1) - self._po_total(b0)  # type: ignore[arg-type]
             for sig in driven:
-                old = net_cost[sig]
-                if sig in po_signals and old != INF:
+                if sig in po_signals:
                     bag = bags[sig]
-                    fin -= _net_term_cost(s0, bag.mn, bag.mx, b1, n) - old  # type: ignore[arg-type]
+                    fin -= (
+                        _net_term_cost(s0, bag.mn, bag.mx, b1, n)  # type: ignore[arg-type]
+                        - net_cost[sig]
+                    )
             for sig in consumed:
-                old = net_cost[sig]
-                if sig in po_signals and old != INF:
+                if sig in po_signals:
                     bag = bags[sig]
                     fin -= (
                         _net_term_cost(stages[sig[0]], bag.mn, bag.mx, b1, n)  # type: ignore[arg-type]
-                        - old
+                        - net_cost[sig]
                     )
-        return inf, fin
+        return fin
 
     def _po_total(self, b: int) -> float:
-        """P(b): the feasible PO-net terms priced against boundary *b*.
+        """P(b): the PO-net terms priced against boundary *b*.
 
         Computed once per boundary value and then kept current by
         :meth:`apply_move` (never cleared).  Terms are whole numbers, so
@@ -478,15 +401,13 @@ class StageSchedule:
         if tot is None:
             stages = self.stages
             bags = self._bags
-            net_cost = self._net_cost
             n = self.n
             tot = 0.0
             for sig in self.st.po_signals:
-                if net_cost[sig] != INF:
-                    bag = bags[sig]
-                    tot += _net_term_cost(
-                        stages[sig[0]], bag.mn, bag.mx, b, n  # type: ignore[arg-type]
-                    )
+                bag = bags[sig]
+                tot += _net_term_cost(
+                    stages[sig[0]], bag.mn, bag.mx, b, n  # type: ignore[arg-type]
+                )
             self._po_totals[b] = tot
         return tot
 
@@ -496,8 +417,6 @@ class StageSchedule:
         stages = self.stages
         n = self.n
         for sig in sigs:
-            if self._net_cost[sig] == INF:
-                continue
             bag = self._bags[sig]
             ds = stages[sig[0]]
             mn, mx = bag.mn, bag.mx
@@ -505,10 +424,16 @@ class StageSchedule:
                 totals[b] += sign * _net_term_cost(ds, mn, mx, b, n)  # type: ignore[arg-type]
 
     def apply_move(self, x: int, s: int) -> None:
-        """Commit the move of cell *x* to stage *s*, updating every term."""
+        """Commit the move of cell *x* to stage *s*, updating every term.
+
+        Raises :class:`TimingError`, leaving the schedule unchanged, when
+        the move would make an incident term infeasible.
+        """
         s0 = self.stages[x]
         if s == s0:
             return
+        if self._probe(x, s0, s) == INF:  # type: ignore[arg-type]
+            raise TimingError(f"moving cell {x} from stage {s0} to {s} is infeasible")
         self.moves_applied += 1
         st = self.st
         n = self.n
@@ -576,23 +501,12 @@ class StageSchedule:
                 )
 
     def _set_term_cost(self, store: Dict, key, new: float) -> None:
-        """Replace one cost term in *store*, adjusting the running totals.
+        """Replace one cost term in *store*, adjusting the running total.
 
-        :meth:`state_if_moved` inlines the same inf-count/finite-sum
-        adjustment on local accumulators; :meth:`check_invariants` catches
-        any divergence between the two.
+        :meth:`_probe` makes the same adjustment on a local accumulator;
+        :meth:`check_invariants` catches any divergence between the two.
         """
-        old = store[key]
-        if old == new:
-            return
-        if old == INF:
-            self._inf_terms -= 1
-        else:
-            self._finite -= old
-        if new == INF:
-            self._inf_terms += 1
-        else:
-            self._finite += new
+        self._total += new - store[key]
         store[key] = new
 
     def _set_net_cost(self, sig: Signal, new: float) -> None:
@@ -618,34 +532,23 @@ class StageSchedule:
                 default=0,
             )
             b = mx + 1
-        inf = 0
-        fin = 0.0
+        total = 0.0
         for sig, cons in st.nets.items():
-            ds = stages[sig[0]]
             cs = [stages[c] for c in cons]
-            cost = _net_term_cost(
-                ds,  # type: ignore[arg-type]
+            total += _net_term_cost(
+                stages[sig[0]],  # type: ignore[arg-type]
                 min(cs) if cs else None,  # type: ignore[type-var]
                 max(cs) if cs else None,  # type: ignore[type-var]
                 b if sig in st.po_signals else None,
                 self.n,
             )
-            if cost == INF:
-                inf += 1
-            else:
-                fin += cost
         for i, is_t1 in enumerate(st.is_t1):
-            if not is_t1:
-                continue
-            cost = self._t1(
-                stages[i],  # type: ignore[arg-type]
-                [stages[d] for d in st.fanin_drivers[i]],  # type: ignore[misc]
-            )
-            if cost == INF:
-                inf += 1
-            else:
-                fin += cost
-        return INF if inf else fin
+            if is_t1:
+                total += self._t1(
+                    stages[i],  # type: ignore[arg-type]
+                    [stages[d] for d in st.fanin_drivers[i]],  # type: ignore[misc]
+                )
+        return total
 
     def check_invariants(self) -> None:
         """Raise TimingError when a maintained value diverged from scratch.
@@ -695,15 +598,13 @@ class StageSchedule:
             want = 0.0
             for sig in st.po_signals:
                 cs = [stages[c] for c in st.nets[sig]]
-                cost = _net_term_cost(
+                want += _net_term_cost(
                     stages[sig[0]],  # type: ignore[arg-type]
                     min(cs) if cs else None,  # type: ignore[type-var]
                     max(cs) if cs else None,  # type: ignore[type-var]
                     pb,
                     self.n,
                 )
-                if cost != INF:
-                    want += cost
             if kept != want:
                 raise TimingError(f"P({pb}): kept {kept}, actual {want}")
         want_total = self.recompute_total()

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import PipelineError, ReproError
+from repro.errors import PipelineError
 from repro.network.logic_network import LogicNetwork
 from repro.pipeline.base import Pass
 from repro.pipeline.context import FlowContext
@@ -37,6 +37,9 @@ from repro.pipeline.passes import (
     VerifyMetricsPass,
 )
 from repro.sfq.cell_library import CellLibrary
+
+#: the verification modes a pipeline accepts (see FlowContext.verify)
+VERIFY_MODES = ("none", "cec", "full")
 
 #: hook signatures: start(ctx, pass_), end(ctx, pass_, elapsed_seconds)
 StartHook = Callable[[FlowContext, Pass], None]
@@ -62,6 +65,10 @@ class Pipeline:
         library: Optional[CellLibrary] = None,
         hooks: Sequence[PipelineHooks] = (),
     ):
+        if verify not in VERIFY_MODES:
+            raise PipelineError(
+                f"verify must be one of {', '.join(VERIFY_MODES)}, got {verify!r}"
+            )
         self.passes: Tuple[Pass, ...] = tuple(passes)
         self.verify = verify
         self.library = library
@@ -96,8 +103,12 @@ class Pipeline:
         The baselines are ``standard(n_phases=1, use_t1=False)`` and
         ``standard(n_phases=4, use_t1=False)``.
         """
+        if n_phases < 1:
+            raise PipelineError(f"n_phases must be >= 1, got {n_phases}")
+        if cuts_per_node < 1:
+            raise PipelineError(f"cuts_per_node must be >= 1, got {cuts_per_node}")
         if use_t1 and n_phases < 3:
-            raise ReproError(
+            raise PipelineError(
                 "T1 staggering needs n_phases >= 3 (three distinct arrival "
                 "slots inside one freshness window)"
             )

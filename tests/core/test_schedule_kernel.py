@@ -1,10 +1,13 @@
 """Differential tests for the incremental schedule kernel (StageSchedule).
 
 The kernel's contract: delta-evaluated move pricing and the maintained
-running total must equal a from-scratch recomputation after *any* move
-sequence, the live PO boundary must never go stale, and the kernel-based
-heuristic must reproduce the seed scan-and-rebuild sweeps bit for bit
-from ASAP starts (pinned against the retained reference implementation).
+running total must equal a from-scratch recomputation after *any*
+feasible move sequence, an infeasible move must be priced INF and
+refused without a trace, the live PO boundary must never go stale, the
+kernel-based heuristic must reproduce the seed scan-and-rebuild sweeps
+bit for bit from ASAP starts (pinned against the retained reference
+implementation), and its final cost must be the DFF count insertion
+places.
 """
 
 import copy
@@ -14,25 +17,25 @@ import random
 import pytest
 
 from exact_stages import heuristic_vs_optimum, random_netlist
-from repro.core.dff_insertion import t1_input_cost
+from repro.core.dff_insertion import insert_dffs, t1_input_cost
 from repro.core.phase_assignment import (
     _net_cost,
     assign_stages_heuristic,
     assign_stages_rescan_reference,
-    t1_stagger_cost,
 )
 from repro.core import schedule as schedule_module
-from repro.core.schedule import StageSchedule
+from repro.core.schedule import INF, StageSchedule
+from repro.errors import TimingError
 from repro.network.gates import Gate
 from repro.sfq.netlist import OUT, SFQNetlist
 
 
-def _mapped(source, name):
+def _mapped(source, name, n_phases=4, use_t1=True):
     """Run the standard pipeline up to (excluding) phase assignment."""
     from repro.pipeline import Pipeline
     from repro.pipeline.context import FlowContext
 
-    pipe = Pipeline.standard(n_phases=4, use_t1=True, verify="none")
+    pipe = Pipeline.standard(n_phases=n_phases, use_t1=use_t1, verify="none")
     ctx = FlowContext(source=source, name=name, verify="none")
     for p in pipe.passes:
         if p.name == "phase_assign":
@@ -41,10 +44,10 @@ def _mapped(source, name):
     return ctx.netlist
 
 
-def mapped_registry_netlist(name):
+def mapped_registry_netlist(name, n_phases=4, use_t1=True):
     from repro.circuits import build
 
-    return _mapped(build(name, "ci"), name)
+    return _mapped(build(name, "ci"), name, n_phases, use_t1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,6 +80,26 @@ def fork_kernel(k):
     return twin
 
 
+def snapshot(k):
+    return list(k.stages), k.total(), k.boundary()
+
+
+def apply_or_refuse(k, x, s):
+    """Apply a move whose probe is finite and check the probe against the
+    new total and a recomputation; check that a move probed INF is
+    refused and leaves the kernel untouched.  Returns the probe."""
+    probed = k.cost_if_moved(x, s)
+    if probed == INF:
+        before = snapshot(k)
+        with pytest.raises(TimingError):
+            k.apply_move(x, s)
+        assert snapshot(k) == before
+    else:
+        k.apply_move(x, s)
+        assert probed == k.total() == k.recompute_total()
+    return probed
+
+
 def boundary_biased_walk(nl, seed, steps=500):
     """Mixed probe/apply steps on a fresh kernel, biased toward boundary
     shifts; returns the kernel and the number of boundary-shifting probes."""
@@ -102,14 +125,13 @@ def boundary_biased_walk(nl, seed, steps=500):
             s = k.stages[x] + rng.randint(-3, 3)
         s = max(1, s)
         if rng.random() < 0.6:
-            probed = k.state_if_moved(x, s)
             moved = fork_kernel(k)
-            moved.apply_move(x, s)
-            assert probed == moved.state()
-            if moved.boundary() != k.boundary():
+            if apply_or_refuse(moved, x, s) != INF and (
+                moved.boundary() != k.boundary()
+            ):
                 shifted += 1
         else:
-            k.apply_move(x, s)
+            apply_or_refuse(k, x, s)
             k.check_invariants()
     return k, shifted
 
@@ -127,10 +149,7 @@ class TestDeltaEquivalence:
         for _ in range(300):
             x = rng.choice(movable)
             s = max(1, k.stages[x] + rng.randint(-3, 3))
-            predicted = k.cost_if_moved(x, s)
-            k.apply_move(x, s)
-            assert k.total() == predicted
-            assert k.total() == k.recompute_total()
+            apply_or_refuse(k, x, s)
         k.check_invariants()
 
     def test_registry_circuit_move_sequence(self):
@@ -142,20 +161,29 @@ class TestDeltaEquivalence:
         for i in range(400):
             x = rng.choice(movable)
             s = max(1, k.stages[x] + rng.randint(-2, 4))
-            predicted = k.cost_if_moved(x, s)
-            k.apply_move(x, s)
-            assert k.total() == predicted
+            apply_or_refuse(k, x, s)
         k.check_invariants()
 
     def test_peek_does_not_mutate(self):
         nl = random_netlist(1, 4)
         k = StageSchedule(nl)
-        before = (list(k.stages), k.state(), k.boundary())
+        before = snapshot(k)
         st = nl.structure()
         for x in range(len(nl.cells)):
             if st.clocked[x]:
                 k.cost_if_moved(x, k.stages[x] + 2)
-        assert (list(k.stages), k.state(), k.boundary()) == before
+        assert snapshot(k) == before
+
+    def test_infeasible_schedule_rejected(self):
+        nl = random_netlist(3, 4)
+        st = nl.structure()
+        stages = list(StageSchedule(nl).stages)
+        x = next(
+            i for i in range(len(nl.cells)) if st.clocked[i] and st.fanin_drivers[i]
+        )
+        stages[x] = stages[st.fanin_drivers[x][0]]  # not after its driver
+        with pytest.raises(TimingError):
+            StageSchedule(nl, stages=stages)
 
     def test_asap_start_total_matches_recompute(self):
         for name in ("adder", "voter", "multiplier"):
@@ -360,16 +388,45 @@ class TestHeuristicQuality:
         assert got == opt
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_t1_eval shifts a T1 to head=min(stage, n) and calls any fanin "
-    "that lands below stage 0 infeasible; fixing it changes stage vectors",
-)
-def test_t1_stagger_cost_matches_insertion_planner():
+def test_t1_term_matches_insertion_planner():
+    """The kernel prices a T1 term exactly as insertion plans it, also
+    when a fanin sits more than n stages back (insertion delays it)."""
     # slots (8, 7, 5): two direct arrivals and a 2-DFF chain from stage 0
     assert t1_input_cost(9, [8, 7, 0], 4) == 2.0
-    assert t1_stagger_cost(9, [8, 7, 0], 4) == 2.0
+    for n_phases in (3, 4, 6):
+        k = StageSchedule(random_netlist(11, n_phases))
+        for t in range(1, 16):
+            for a in range(t):
+                for b in range(a, t):
+                    for c in range(b, t):
+                        want = t1_input_cost(t, [a, b, c], n_phases)
+                        assert k._t1(t, [c, a, b]) == want, (t, a, b, c)
+
+
+class TestCostMatchesInsertion:
+    """The heuristic's final cost is finite and is exactly the number of
+    DFFs insertion then places: the kernel and insertion are two
+    encodings of one cost and must agree."""
+
+    @staticmethod
+    def check(nl):
+        report = assign_stages_heuristic(nl)
+        assert report.final_cost < INF
+        assert report.final_cost == insert_dffs(nl).total
+
+    @pytest.mark.parametrize("use_t1", [True, False], ids=["t1", "4phi"])
+    @pytest.mark.parametrize("n_phases", [3, 4, 6])
+    @pytest.mark.parametrize(
+        "name",
+        ["adder", "c7552", "c6288", "sin", "voter", "square", "multiplier", "log2"],
+    )
+    def test_registry(self, name, n_phases, use_t1):
+        self.check(mapped_registry_netlist(name, n_phases, use_t1))
+
+    @pytest.mark.parametrize("n_phases", [3, 4])
+    def test_random_netlists(self, n_phases):
+        for seed in range(60):
+            self.check(random_netlist(seed, n_phases))
 
 
 class TestT1CostCacheScoping:
@@ -379,14 +436,3 @@ class TestT1CostCacheScoping:
         assert k1._t1_memo  # populated during construction
         k2 = StageSchedule(nl)
         assert k1._t1_memo is not k2._t1_memo
-
-    def test_module_cache_is_bounded_and_clearable(self):
-        from repro.core import phase_assignment as pa
-
-        assert (
-            pa._t1_cost_cached.cache_info().maxsize == pa.T1_COST_CACHE_SIZE
-        )
-        pa.t1_stagger_cost(5, [1, 2, 3], 4)
-        assert pa._t1_cost_cached.cache_info().currsize > 0
-        pa.clear_t1_cost_cache()
-        assert pa._t1_cost_cached.cache_info().currsize == 0

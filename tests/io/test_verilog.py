@@ -67,9 +67,12 @@ class TestLogicVerilog:
 
 class TestSfqVerilog:
     def _netlist(self):
-        return Pipeline.standard(
+        # 8 bits: the 4-bit T1 adder schedules without a single DFF
+        nl = Pipeline.standard(
             n_phases=4, use_t1=True, verify="none"
-        ).run(ripple_carry_adder(4)).netlist
+        ).run(ripple_carry_adder(8)).netlist
+        assert any(True for _ in nl.t1_cells()) and nl.num_dffs() >= 1
+        return nl
 
     def test_cells_instantiated(self):
         text = dumps_sfq_verilog(self._netlist())

@@ -43,6 +43,29 @@ class TestComposition:
         with pytest.raises(ReproError):
             Pipeline.standard(n_phases=2, use_t1=True)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"n_phases": 0, "use_t1": False},
+            {"n_phases": -1, "use_t1": False},
+            {"n_phases": 0},
+            {"cuts_per_node": 0},
+            {"verify": "CEC"},
+            {"verify": "bogus"},
+        ],
+        ids=["zero-phases", "negative-phases", "zero-phases-t1",
+             "zero-cuts", "verify-uppercase", "verify-unknown"],
+    )
+    def test_out_of_range_settings_rejected(self, settings):
+        with pytest.raises(PipelineError):
+            Pipeline.standard(**settings)
+
+    def test_unknown_verify_mode_rejected_everywhere(self):
+        with pytest.raises(PipelineError):
+            Pipeline([], verify="bogus")
+        with pytest.raises(PipelineError):
+            Pipeline.standard().with_verify("CEC")
+
     def test_with_pass_append_before_after(self):
         pipe = Pipeline.standard()
         assert pipe.with_pass(BalancePass()).names()[-1] == "balance"

@@ -8,6 +8,15 @@ allocation-light cut enumeration / incremental candidate selection
 reproduce the seed mapping front-end exactly — on every registered
 circuit at both presets.  Any intentional scheduling or mapping change
 must update these numbers (and should only ever lower the DFF counts).
+
+The T1 rows were re-pinned on purpose once since: the schedule kernel
+used to call a T1 infeasible whenever a fanin sat more than
+``min(σ_T1, n)`` stages back, although insertion simply delays such a
+fanin.  Pricing that term the way insertion plans it changed the T1
+stage vectors and lowered the DFF count on every circuit except c7552
+(paper preset, T1 DFFs: 17226 -> 15468 in total); gates, T1 cells,
+splitters and depth are unchanged, and flows without T1 cells are
+bit-identical.
 """
 
 import pytest
@@ -18,25 +27,25 @@ from repro.pipeline import Pipeline
 
 #: (gates, t1, dffs, splitters, area_jj, depth_cycles) per circuit
 PINNED_CI = {
-    "adder": (2, 15, 83, 2, 960, 5),
+    "adder": (2, 15, 63, 2, 840, 5),
     "c7552": (118, 9, 31, 123, 2379, 3),
-    "c6288": (65, 22, 28, 88, 1754, 4),
-    "sin": (657, 14, 91, 664, 10000, 11),
-    "voter": (33, 92, 56, 23, 3415, 8),
-    "square": (98, 34, 80, 142, 2918, 6),
-    "multiplier": (111, 46, 58, 158, 3309, 6),
-    "log2": (375, 68, 205, 442, 8728, 22),
+    "c6288": (65, 22, 26, 88, 1742, 4),
+    "sin": (657, 14, 88, 664, 9982, 11),
+    "voter": (33, 92, 25, 23, 3229, 8),
+    "square": (98, 34, 70, 142, 2858, 6),
+    "multiplier": (111, 46, 45, 158, 3231, 6),
+    "log2": (375, 68, 189, 442, 8632, 22),
 }
 
 PINNED_PAPER = {
-    "adder": (2, 127, 6047, 2, 39992, 33),
+    "adder": (2, 127, 5859, 2, 38864, 33),
     "c7552": (444, 45, 754, 483, 13337, 9),
-    "c6288": (407, 220, 313, 628, 14308, 10),
-    "sin": (5418, 47, 634, 5452, 79663, 33),
-    "voter": (55, 990, 640, 41, 33244, 13),
-    "square": (1692, 1076, 3156, 2816, 75811, 25),
-    "multiplier": (3026, 2201, 3761, 5228, 132722, 26),
-    "log2": (2379, 752, 1921, 3182, 69441, 77),
+    "c6288": (407, 220, 263, 628, 14008, 10),
+    "sin": (5418, 47, 622, 5452, 79591, 33),
+    "voter": (55, 990, 250, 41, 30904, 13),
+    "square": (1692, 1076, 2872, 2816, 74107, 25),
+    "multiplier": (3026, 2201, 3091, 5228, 128702, 26),
+    "log2": (2379, 752, 1757, 3182, 68457, 77),
 }
 
 #: the paper's Table I "found" / "used" columns per circuit (§II-A

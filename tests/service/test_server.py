@@ -259,6 +259,27 @@ class TestHttpLifecycle:
         assert exc_info.value.status == 409
         client.wait(status["job_id"], timeout=60)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n_phases": 0},
+            {"n_phases": -1},
+            {"verify": "CEC"},
+            {"verify": "bogus"},
+            {"cuts_per_node": 0},
+        ],
+        ids=["zero-phases", "negative-phases", "verify-uppercase",
+             "verify-unknown", "zero-cuts"],
+    )
+    def test_out_of_range_config_is_400_at_submit(self, client, config):
+        # rejected before queueing: a negative phase count used to hang
+        # its worker, an unknown verify mode to run unverified
+        started = time.monotonic()
+        with pytest.raises(ServiceError) as exc_info:
+            client.submit(registry_circuit("adder", "ci"), config=config)
+        assert exc_info.value.status == 400
+        assert time.monotonic() - started < 10
+
     def test_unknown_endpoint_is_404(self, client):
         with pytest.raises(ServiceError) as exc_info:
             client._request("GET", "/bogus")

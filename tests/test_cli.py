@@ -89,8 +89,12 @@ def test_run_per_edge_insertion(capsys):
         ["run", "nonesuch"],
         ["run", "adder", "--scale", "100"],
         ["table", "adder", "--resume"],
+        ["run", "adder", "--preset", "ci", "--phases", "0"],
+        ["run", "adder", "--preset", "ci", "--phases", "-1"],
+        ["table", "adder", "--preset", "ci", "--phases", "0"],
     ],
-    ids=["unknown-benchmark", "scale-on-registry", "resume-without-journal"],
+    ids=["unknown-benchmark", "scale-on-registry", "resume-without-journal",
+         "run-zero-phases", "run-negative-phases", "table-zero-phases"],
 )
 def test_user_errors_exit_2(argv, capsys):
     assert main(argv) == 2
