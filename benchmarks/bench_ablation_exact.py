@@ -2,7 +2,7 @@
 
 The paper solves phase assignment with an ILP (OR-Tools); our flow uses
 coordinate descent over the true insertion cost.  On netlists small
-enough for the exhaustive oracle in ``tests/core/exact_stages.py``,
+enough for the exhaustive oracle in ``tests/oracles/exact_stages.py``,
 which minimises the DFFs insertion actually places, the heuristic must
 never beat the optimum and must stay within 2 DFFs of it.  The cases
 are ripple-carry adders (3 bits, n = 1/2/4) and 12 random netlists
@@ -12,19 +12,19 @@ are ripple-carry adders (3 bits, n = 1/2/4) and 12 random netlists
     PYTHONPATH=src python benchmarks/bench_ablation_exact.py  # table
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "core"))
-
-from exact_stages import exact_stages, heuristic_vs_optimum, random_netlist  # noqa: E402
-from repro.circuits import c7552_like, ripple_carry_adder  # noqa: E402
-from repro.core.dff_insertion import insert_dffs  # noqa: E402
-from repro.core.phase_assignment import assign_stages_heuristic  # noqa: E402
-from repro.network.cleanup import strash  # noqa: E402
-from repro.sfq import map_to_sfq  # noqa: E402
+import _harness  # noqa: F401  (puts tests/ on sys.path for the oracle)
+from oracles.exact_stages import (
+    exact_stages,
+    heuristic_vs_optimum,
+    random_netlist,
+)
+from repro.circuits import c7552_like, ripple_carry_adder
+from repro.core.dff_insertion import insert_dffs
+from repro.core.phase_assignment import assign_stages_heuristic
+from repro.network.cleanup import strash
+from repro.sfq import map_to_sfq
 
 RANDOM_SEEDS = range(12)
 

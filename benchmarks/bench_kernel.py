@@ -35,20 +35,18 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import platform
-import sys
 import time
 from pathlib import Path
 
+import _harness
+from oracles.transforms import refactor_reference
 from repro.circuits.registry import TABLE1_ORDER, build
-from repro.io.json_report import dump_json_report
 from repro.errors import NetworkError
 from repro.network import Gate, LogicNetwork, enumerate_cuts, refactor, balance
+from repro.network.isop import clear_sop_cache
 from repro.pipeline import Pipeline
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline_seed.json"
 
 
@@ -194,11 +192,6 @@ def bench_rewrite_loops(preset, failures, repeats=2):
     an identical strashed result — the kernel is pinned bit-exact to the
     reference, so the speedup compares the same computation.
     """
-    import gc
-
-    from repro.network import refactor_reference
-    from repro.network.isop import clear_sop_cache
-
     out = {}
     for name in REWRITE_CIRCUITS["ci" if preset == "ci" else "paper"]:
         net = build(name, preset=preset)
@@ -208,26 +201,17 @@ def bench_rewrite_loops(preset, failures, repeats=2):
         t_balance = time.perf_counter() - t0
         _check(balanced, f"balance:{name}", failures)
 
-        def timed(fn):
-            best = None
-            result = None
-            for _ in range(repeats):
-                if hasattr(net, "_cut_db_cache"):
-                    del net._cut_db_cache
-                clear_sop_cache()
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    result = fn()
-                    dt = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                best = dt if best is None else min(best, dt)
-            return result, best
+        def cold():
+            if hasattr(net, "_cut_db_cache"):
+                del net._cut_db_cache
+            clear_sop_cache()
 
-        (ref_net, ref_accepted), t_ref = timed(lambda: refactor_reference(net))
-        (k_net, k_accepted), t_kernel = timed(lambda: refactor(net))
+        t_ref, (ref_net, ref_accepted) = _harness.best_of(
+            lambda: refactor_reference(net), repeats, setup=cold
+        )
+        t_kernel, (k_net, k_accepted) = _harness.best_of(
+            lambda: refactor(net), repeats, setup=cold
+        )
         _check(k_net, f"refactor:{name}", failures)
 
         if k_accepted != ref_accepted:
@@ -280,16 +264,10 @@ def bench_flow(circuits, preset, failures, baseline, repeats=3):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke: down-scaled circuits, smaller probes",
-    )
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_kernel.json"),
-        help="output JSON path (default: BENCH_kernel.json at repo root)",
-    )
-    args = parser.parse_args(argv)
+    args = _harness.parser(
+        __doc__, "BENCH_kernel.json",
+        "CI smoke: down-scaled circuits, smaller probes",
+    ).parse_args(argv)
 
     preset = "ci" if args.quick else "paper"
     circuits = list(TABLE1_ORDER)
@@ -299,12 +277,7 @@ def main(argv=None) -> int:
 
     failures: list = []
     report = {
-        "meta": {
-            "preset": preset,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
+        "meta": _harness.meta(preset=preset),
         "construction": bench_construction(circuits, preset, failures),
         "analysis_cache": bench_analysis_cache(circuits, preset, failures),
         "substitute": bench_substitute(args.quick, failures),
@@ -315,8 +288,7 @@ def main(argv=None) -> int:
         "invariant_failures": failures,
     }
 
-    dump_json_report(args.out, report)
-    print(f"wrote {args.out}")
+    _harness.write(report, args.out)
     sub = report["substitute"]
     print(
         f"substitute scaling ratio ({sub['large_network_gates']} vs "
@@ -333,12 +305,7 @@ def main(argv=None) -> int:
         speed = entry.get("speedup_vs_seed")
         extra = f"  ({speed}x vs seed kernel)" if speed else ""
         print(f"flow {name:<11} {entry['seconds']:.3f}s{extra}")
-    if failures:
-        print("KERNEL INVARIANT FAILURES:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    return 0
+    return _harness.exit_code("KERNEL INVARIANT FAILURES", failures)
 
 
 if __name__ == "__main__":

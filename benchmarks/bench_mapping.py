@@ -5,20 +5,18 @@ Measures the axes the mapping refactor targets and writes the results to
 trajectory of ``bench_kernel.py`` / ``bench_schedule.py``:
 
 * **NPN matching** — per-call cost of the table-driven
-  :func:`~repro.network.npn.npn_canon` vs the retained enumerating
-  oracle (:func:`~repro.network.npn.npn_canon_enum`) over all 256
-  3-input functions;
+  :func:`~repro.network.npn.npn_canon` vs the enumerating oracle
+  (``oracles.npn.npn_canon_enum``) over all 256 3-input functions;
 * **cut enumeration** — the allocation-light int kernel
   (:func:`~repro.network.cuts.enumerate_cuts`) vs the seed
-  per-candidate implementation
-  (:func:`~repro.network.cuts.enumerate_cuts_reference`), same run,
-  same networks;
+  per-candidate implementation (``oracles.cuts.enumerate_cuts_reference``),
+  same run, same networks;
 * **t1-detect + CEC segment** — the full kernel path
   (``detect_and_replace`` with the epoch-cached cut database + the
   fast-path CEC driver) vs the seed path (reference enumeration and
   candidate search + the seed driver's CEC engine at matching
-  escalation: single-pass exhaustive at small PI counts, the 16-round
-  narrow-width random engine above), per circuit, with the speedup the
+  escalation: single-pass exhaustive at small PI counts, 16 narrow
+  random rounds above), per circuit, with the speedup the
   acceptance gate asks for on the largest registry circuits;
 * **cut database caching** — cost of a second ``find_candidates`` on an
   unmutated network (one epoch-cache hit) vs the first.
@@ -44,38 +42,31 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import platform
-import sys
 import time
-from pathlib import Path
 
+import _harness
+from oracles.cuts import enumerate_cuts_reference
+from oracles.npn import npn_canon_enum
+from oracles.t1_detection import find_candidates_reference
 from repro.circuits.registry import build
 from repro.core.t1_detection import (
     apply_candidates,
     detect_and_replace,
     find_candidates,
-    find_candidates_reference,
     select_candidates,
 )
-from repro.network.cuts import (
-    cached_cut_database,
-    enumerate_cuts,
-    enumerate_cuts_reference,
-)
+from repro.network.cuts import cached_cut_database, enumerate_cuts
 from repro.network.equivalence import (
+    DEFAULT_RANDOM_WIDTH,
     EXHAUSTIVE_PI_LIMIT,
     check_equivalence,
     exhaustive_equivalence,
-    simulate_equivalence,
+    signature_equivalence,
 )
-from repro.network.npn import npn_canon, npn_canon_enum
+from repro.network.npn import npn_canon
 from repro.network.truth_table import TruthTable
-from repro.io.json_report import dump_json_report
 from repro.pipeline.context import FlowContext
 from repro.pipeline.passes.decompose import DecomposePass
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: the acceptance gate's "largest registry circuits"
 SEGMENT_CIRCUITS = ("sin", "multiplier", "log2")
@@ -125,33 +116,17 @@ def bench_cuts(circuits, preset, failures, repeats=3):
     collections — that asymmetry, not the kernel, was the "multiplier
     regression" the PR 6 issue flagged.
     """
-    import gc
-
     out = {}
     for name in circuits:
         net = decomposed_network(name, preset)
         net.topological_order()  # shared traversal out of the timed region
 
-        def timed(fn):
-            best = None
-            result = None
-            for _ in range(repeats):
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    result = fn()
-                    dt = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                best = dt if best is None else min(best, dt)
-            return result, best
-
-        db_kernel, t_kernel = timed(
-            lambda: enumerate_cuts(net, k=3, cuts_per_node=8)
+        t_kernel, db_kernel = _harness.best_of(
+            lambda: enumerate_cuts(net, k=3, cuts_per_node=8), repeats
         )
-        db_ref, t_ref = timed(
-            lambda: enumerate_cuts_reference(net, k=3, cuts_per_node=8)
+        t_ref, db_ref = _harness.best_of(
+            lambda: enumerate_cuts_reference(net, k=3, cuts_per_node=8),
+            repeats,
         )
         for node in range(net.num_nodes()):
             got = [(c.leaves, c.table.bits, c.signature) for c in db_kernel[node]]
@@ -179,8 +154,6 @@ def bench_segment(circuits, preset, failures, repeats=3):
     a stray collection or scheduler hiccup in the middle of a 0.3 s
     region does not masquerade as a slowdown of either path.
     """
-    import gc
-
     out = {}
     for name in circuits:
         net = decomposed_network(name, preset)
@@ -190,15 +163,17 @@ def bench_segment(circuits, preset, failures, repeats=3):
             sel_ref = select_candidates(cands_ref)
             net_ref, _ = apply_candidates(net, sel_ref)
             # mirror the seed driver's engine choice: exhaustive at a
-            # small PI count (the ci-preset circuits), the 16-round
-            # narrow random engine above it — so both paths always
-            # compare like CEC engines
+            # small PI count (the ci-preset circuits), 16 narrow random
+            # rounds above it — so both paths always compare like CEC
+            # engines
             if len(net.pis) <= EXHAUSTIVE_PI_LIMIT:
                 cec_ref = exhaustive_equivalence(
                     net, net_ref, chunk_pis=EXHAUSTIVE_PI_LIMIT
                 )
             else:
-                cec_ref = simulate_equivalence(net, net_ref)
+                cec_ref = signature_equivalence(
+                    net, net_ref, width=DEFAULT_RANDOM_WIDTH, rounds=16
+                )
             return cands_ref, sel_ref, cec_ref
 
         def run_kernel():
@@ -210,28 +185,15 @@ def bench_segment(circuits, preset, failures, repeats=3):
             cec = check_equivalence(net, det.network, complete=False)
             return det, cec
 
-        def timed(fn):
-            best = None
-            result = None
-            for _ in range(repeats):
-                gc.collect()
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    result = fn()
-                    dt = time.perf_counter() - t0
-                finally:
-                    gc.enable()
-                best = dt if best is None else min(best, dt)
-            return result, best
-
         # seed path: reference cuts + reference candidate search + seed
         # greedy/apply + the seed driver's CEC engine
-        (cands_ref, sel_ref, cec_ref), t_seed = timed(run_seed)
+        t_seed, (cands_ref, sel_ref, cec_ref) = _harness.best_of(
+            run_seed, repeats
+        )
 
         # kernel path: epoch-cached int cut kernel + table-driven
         # matching + fast-path CEC
-        (det, cec), t_kernel = timed(run_kernel)
+        t_kernel, (det, cec) = _harness.best_of(run_kernel, repeats)
 
         if not (cec.equivalent and cec_ref.equivalent):
             failures.append(f"segment:{name}: CEC refuted the substitution")
@@ -282,14 +244,8 @@ def bench_cut_cache(preset, failures):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke: down-scaled circuits",
-    )
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_mapping.json"),
-        help="output JSON path (default: BENCH_mapping.json at repo root)",
+    parser = _harness.parser(
+        __doc__, "BENCH_mapping.json", "CI smoke: down-scaled circuits"
     )
     parser.add_argument(
         "--gate-cuts", action="store_true",
@@ -310,12 +266,7 @@ def main(argv=None) -> int:
                     f"({speedup}x < 1.0)"
                 )
     report = {
-        "meta": {
-            "preset": preset,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
+        "meta": _harness.meta(preset=preset),
         "npn": bench_npn(failures),
         "cuts": cuts,
         "t1_detect_cec_segment": bench_segment(SEGMENT_CIRCUITS, preset, failures),
@@ -324,8 +275,7 @@ def main(argv=None) -> int:
         "invariant_failures": failures,
     }
 
-    dump_json_report(args.out, report)
-    print(f"wrote {args.out}")
+    _harness.write(report, args.out)
     npn = report["npn"]
     print(
         f"npn canon: table {npn['table_seconds_per_call']:.2e}s vs enum "
@@ -349,12 +299,7 @@ def main(argv=None) -> int:
         f"cut cache on {cache['circuit']}: cold {cache['cold_seconds']:.3f}s "
         f"vs cached {cache['cached_seconds']:.3f}s ({cache['speedup']}x)"
     )
-    if failures:
-        print("MAPPING KERNEL INVARIANT FAILURES:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    return 0
+    return _harness.exit_code("MAPPING KERNEL INVARIANT FAILURES", failures)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ kernel exists for, writing ``BENCH_scale.json`` at the repository root:
 * **peak memory** — tracemalloc peak during bulk construction;
 * **sweep** — ``sweep()`` (clone + free-list compact) wall time;
 * **simulation** — the gate-grouped kernel vs the per-node
-  ``simulate_nodewise`` loop at width 64, warm (schedule built),
+  ``oracles.simulation.simulate_nodewise`` loop at width 64, warm (schedule built),
   best-of-``repeats`` (nodes/s each, speedup);
 * **cut enumeration** (ratchet circuit only) — the flat-array
   ``enumerate_cuts`` kernel vs ``enumerate_cuts_reference`` at k=3,
@@ -34,31 +34,24 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import gc
-import platform
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
+import _harness
+from oracles.cuts import enumerate_cuts_reference
+from oracles.simulation import simulate_nodewise
+from oracles.transforms import refactor_reference
 from repro.circuits.synthetic import build_synthetic
 from repro.errors import NetworkError
-from repro.io.json_report import dump_json_report
 from repro.network import (
     Gate,
     LogicNetwork,
     enumerate_cuts,
-    enumerate_cuts_reference,
     refactor,
-    refactor_reference,
     simulate,
-    simulate_nodewise,
     sweep,
 )
 from repro.network.simulation import random_patterns
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: construction-ratchet floor (bulk vs per-call nodes/s)
 MIN_CONSTRUCTION_SPEEDUP = 2.0
@@ -74,25 +67,6 @@ RATCHET_CIRCUIT = "datapath_100k"
 SIM_WIDTH = 64
 CUT_K = 3
 REWRITE_CUT_SIZE = 4
-
-
-def _best_of(fn, repeats):
-    """Min-of-N with the collector paused, so GC pauses on the large
-    transient buffers don't turn the within-process ratios into noise."""
-    best = None
-    result = None
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            result = fn()
-            dt = time.perf_counter() - t0
-        finally:
-            gc.enable()
-        if best is None or dt < best:
-            best = dt
-    return best, result
 
 
 def _spec_of(net: LogicNetwork):
@@ -121,8 +95,10 @@ def bench_circuit(name, scale, repeats, failures):
     spec = _spec_of(net)
     n = len(spec)
 
-    bulk_s, bulk_net = _best_of(lambda: _bulk_build(spec), repeats)
-    per_call_s, per_call_net = _best_of(lambda: _per_call_build(spec), repeats)
+    bulk_s, bulk_net = _harness.best_of(lambda: _bulk_build(spec), repeats)
+    per_call_s, per_call_net = _harness.best_of(
+        lambda: _per_call_build(spec), repeats
+    )
     if not (
         bulk_net.gates == per_call_net.gates
         and bulk_net.fanins == per_call_net.fanins
@@ -151,8 +127,10 @@ def bench_circuit(name, scale, repeats, failures):
     nodewise0 = simulate_nodewise(net, pats, SIM_WIDTH)
     if grouped0 != nodewise0:
         failures.append(f"{name}: grouped simulation diverges from nodewise")
-    sim_g_s, _ = _best_of(lambda: simulate(net, pats, SIM_WIDTH), repeats)
-    sim_n_s, _ = _best_of(
+    sim_g_s, _ = _harness.best_of(
+        lambda: simulate(net, pats, SIM_WIDTH), repeats
+    )
+    sim_n_s, _ = _harness.best_of(
         lambda: simulate_nodewise(net, pats, SIM_WIDTH), repeats
     )
 
@@ -199,8 +177,8 @@ def bench_rewrite_kernels(name, scale, repeats, failures, key):
     total = net.num_nodes()
 
     cut_rep = max(1, min(repeats, 3))
-    cut_s, db = _best_of(lambda: enumerate_cuts(net, k=CUT_K), cut_rep)
-    ref_cut_s, ref_db = _best_of(
+    cut_s, db = _harness.best_of(lambda: enumerate_cuts(net, k=CUT_K), cut_rep)
+    ref_cut_s, ref_db = _harness.best_of(
         lambda: enumerate_cuts_reference(net, k=CUT_K), 1
     )
     kl, kb = db.raw_rows()
@@ -220,10 +198,10 @@ def bench_rewrite_kernels(name, scale, repeats, failures, key):
     # enumeration (both kernels call cached_cut_database internally)
     cached_cut_database(net, k=REWRITE_CUT_SIZE)
     rw_rep = max(1, min(repeats, 2))
-    rw_s, (rw_net, rw_accepted) = _best_of(
+    rw_s, (rw_net, rw_accepted) = _harness.best_of(
         lambda: refactor(net, cut_size=REWRITE_CUT_SIZE), rw_rep
     )
-    ref_rw_s, (ref_net, ref_accepted) = _best_of(
+    ref_rw_s, (ref_net, ref_accepted) = _harness.best_of(
         lambda: refactor_reference(net, cut_size=REWRITE_CUT_SIZE), 1
     )
     if rw_accepted != ref_accepted:
@@ -262,10 +240,8 @@ def bench_rewrite_kernels(name, scale, repeats, failures, key):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke: skip the 1M-node run",
+    parser = _harness.parser(
+        __doc__, "BENCH_scale.json", "CI smoke: skip the 1M-node run"
     )
     parser.add_argument(
         "--ratchet", action="store_true",
@@ -276,10 +252,6 @@ def main(argv=None) -> int:
              f"{MIN_REWRITE_SPEEDUP}x rewrite sweep",
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_scale.json"),
-        help="output JSON path (default: BENCH_scale.json at repo root)",
-    )
     args = parser.parse_args(argv)
 
     runs = [
@@ -362,31 +334,18 @@ def main(argv=None) -> int:
     ratchet["ok"] = not ratchet_failures
 
     report = {
-        "meta": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "repeats": args.repeats,
-        },
+        "meta": _harness.meta(repeats=args.repeats),
         "circuits": circuits,
         "ratchet": ratchet,
         "invariants_ok": not failures,
         "invariant_failures": failures,
     }
-    dump_json_report(args.out, report)
-    print(f"wrote {args.out}")
+    _harness.write(report, args.out)
 
-    if failures:
-        print("SCALE KERNEL FAILURES:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    if args.ratchet and ratchet_failures:
-        print("PERF RATCHET FAILURES:", file=sys.stderr)
-        for f in ratchet_failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    return 0
+    status = _harness.exit_code("SCALE KERNEL FAILURES", failures)
+    if not status and args.ratchet:
+        status = _harness.exit_code("PERF RATCHET FAILURES", ratchet_failures)
+    return status
 
 
 if __name__ == "__main__":

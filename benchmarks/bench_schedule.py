@@ -6,8 +6,9 @@ trajectory started by ``bench_kernel.py``:
 
 * **heuristic sweeps** — wall time and moves evaluated of the
   delta-evaluated kernel heuristic vs the retained seed scan-and-rebuild
-  reference (``assign_stages_rescan_reference``), measured **in the same
-  run** on the same netlists, with the speedup per circuit;
+  reference (``oracles.phase_assignment.assign_stages_rescan_reference``),
+  measured **in the same run** on the same netlists, with the speedup
+  per circuit;
 * **delta evaluation** — mean cost of one ``cost_if_moved`` probe vs
   one seed-style ``local_cost`` rescan (which prices T1 terms with
   ``t1_input_cost``, the insertion planner, unmemoised) on the largest
@@ -40,28 +41,20 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import copy
-import json
-import platform
-import sys
 import time
-from pathlib import Path
 
+import _harness
+from oracles.phase_assignment import _net_cost, assign_stages_rescan_reference
 from repro.circuits.registry import TABLE1_ORDER, build
 from repro.circuits.synthetic import build_synthetic
 from repro.core import schedule as schedule_module
-from repro.core.phase_assignment import (
-    assign_stages_heuristic,
-    assign_stages_rescan_reference,
-)
+from repro.core.dff_insertion import t1_input_cost
+from repro.core.phase_assignment import assign_stages_heuristic
 from repro.core.schedule import StageSchedule
 from repro.errors import TimingError
-from repro.io.json_report import dump_json_report
 from repro.pipeline import Pipeline
 from repro.pipeline.context import FlowContext
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: datapath sizes (nodes) of the scale section; the full run adds 20k
 SCALE_NODES_QUICK = (2_000, 4_000, 8_000)
@@ -152,9 +145,6 @@ def bench_delta_probe(preset, failures):
     t_delta = (time.perf_counter() - t0) / len(probes)
 
     # the seed priced the same probe by re-summing every incident term
-    from repro.core.dff_insertion import t1_input_cost
-    from repro.core.phase_assignment import _net_cost
-
     stages = kernel.stages
     boundary = kernel.boundary()
 
@@ -250,16 +240,9 @@ def check_ratchet(scale):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke: down-scaled circuits",
-    )
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_schedule.json"),
-        help="output JSON path (default: BENCH_schedule.json at repo root)",
-    )
-    args = parser.parse_args(argv)
+    args = _harness.parser(
+        __doc__, "BENCH_schedule.json", "CI smoke: down-scaled circuits"
+    ).parse_args(argv)
 
     preset = "ci" if args.quick else "paper"
     circuits = list(TABLE1_ORDER)
@@ -268,12 +251,7 @@ def main(argv=None) -> int:
     scale = bench_datapath_scale(sizes, failures)
     ratchet_failures = check_ratchet(scale)
     report = {
-        "meta": {
-            "preset": preset,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
+        "meta": _harness.meta(preset=preset),
         "heuristic": bench_heuristic(circuits, preset, failures),
         "delta_probe": bench_delta_probe(preset, failures),
         "scale": scale,
@@ -286,8 +264,7 @@ def main(argv=None) -> int:
         "invariant_failures": failures,
     }
 
-    dump_json_report(args.out, report)
-    print(f"wrote {args.out}")
+    _harness.write(report, args.out)
     for name, entry in report["heuristic"].items():
         print(
             f"schedule {name:<11} kernel {entry['kernel_seconds']:.3f}s  "
@@ -307,12 +284,9 @@ def main(argv=None) -> int:
             f"nets: {entry['seconds']:.3f}s, {entry['moves_evaluated']} probes, "
             f"{entry['net_term_calls_per_probe']} net-term calls/probe"
         )
-    if failures or ratchet_failures:
-        print("SCHEDULE KERNEL FAILURES:", file=sys.stderr)
-        for f in failures + ratchet_failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    return 0
+    return _harness.exit_code(
+        "SCHEDULE KERNEL FAILURES", failures + ratchet_failures
+    )
 
 
 if __name__ == "__main__":

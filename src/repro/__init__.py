@@ -6,8 +6,8 @@ Top-level convenience re-exports; see subpackages for the full API:
 * :mod:`repro.pipeline` — **primary API**: composable Pass/Pipeline
   flows and the ``run_many`` batch executor
 * :mod:`repro.network` — logic-network kernel (mockturtle replacement)
-* :mod:`repro.sat`, :mod:`repro.solvers` — SAT and CP engines (stdlib
-  only: the package has no runtime dependency)
+* :mod:`repro.sat` — the SAT engine behind complete CEC (stdlib only:
+  the package has no runtime dependency)
 * :mod:`repro.sfq` — SFQ technology substrate and pulse-level simulator
 * :mod:`repro.core` — T1 detection / phase assignment / DFF insertion
   algorithms
@@ -17,7 +17,7 @@ Top-level convenience re-exports; see subpackages for the full API:
 
 from repro.network import Gate, LogicNetwork, TruthTable
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = ["Gate", "LogicNetwork", "TruthTable", "__version__"]
 

@@ -10,7 +10,6 @@ from repro.core.dff_insertion import (
     T1InputPlan,
     insert_dffs,
     plan_t1_inputs,
-    plan_t1_inputs_cp,
     t1_input_cost,
     t1_slot_cost,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "is_t1_implementable",
     "match_t1_output",
     "plan_t1_inputs",
-    "plan_t1_inputs_cp",
     "polarities_matching",
     "select_candidates",
     "t1_input_cost",

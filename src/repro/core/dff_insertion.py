@@ -14,9 +14,9 @@ materialises the path-balancing DFFs:
   the last DFF of a dedicated chain (stage flexible).  Slots are assigned
   by minimum-cost matching over the ≤ n window slots; a collision between
   two direct inputs costs one extra staggering DFF — exactly the c_T1
-  term of eq. 4.  The paper solves this with CP-SAT; we provide both the
-  closed-form matcher (used by the flow) and a CP model on
-  :class:`repro.solvers.CpModel` (cross-checked in the tests).
+  term of eq. 4.  The paper solves this with CP-SAT; the flow uses the
+  closed-form matcher, which the tests cross-check against a CP model
+  of eq. 5.
 """
 
 from __future__ import annotations
@@ -108,56 +108,6 @@ def t1_input_cost(t1_stage: int, fanin_stages: Sequence[int], n: int) -> float:
         return float(plan_t1_inputs(t1_stage, fanin_stages, n).total_dffs)
     except TimingError:
         return INF
-
-
-def build_t1_input_model(t1_stage: int, fanin_stages: Sequence[int], n: int):
-    """The T1 staggering model (eq. 5) on the CP solver.
-
-    Slot variables live in the freshness window, are pairwise distinct
-    (eq. 5) and >= their driver stage; the ``k`` variables count chain
-    DFFs, whose sum :func:`plan_t1_inputs_cp` minimises (the paper's
-    CP-SAT formulation).  Returns ``(model, slot_vars, k_vars)``.
-    """
-    from repro.solvers import CpModel
-
-    lo = max(0, t1_stage - n)
-    hi = t1_stage - 1
-    if hi < lo:
-        raise TimingError("empty T1 freshness window")
-    model = CpModel()
-    slot_vars = []
-    k_vars = []
-    for i, sd in enumerate(fanin_stages):
-        if sd > hi:
-            raise TimingError(f"fanin {i} at {sd} cannot precede T1 at {t1_stage}")
-        slot = model.new_int_var(max(lo, sd), hi, name=f"slot{i}")
-        # k_i = chain length; n*k_i >= slot_i - sd and minimisation make
-        # k_i == ceil((slot_i - sd) / n) without any reification
-        k = model.new_int_var(0, n + 2, name=f"k{i}")
-        model.add_linear({k: n, slot: -1}, ">=", -sd)
-        slot_vars.append(slot)
-        k_vars.append(k)
-    model.add_all_different(slot_vars)
-    return model, slot_vars, k_vars
-
-
-def plan_t1_inputs_cp(
-    t1_stage: int, fanin_stages: Sequence[int], n: int
-) -> T1InputPlan:
-    """:func:`build_t1_input_model` minimised on the CP solver.
-
-    Used for cross-validation of :func:`plan_t1_inputs`.
-    """
-    from repro.errors import InfeasibleError
-
-    model, slot_vars, k_vars = build_t1_input_model(t1_stage, fanin_stages, n)
-    try:
-        values, _ = model.minimize({k: 1 for k in k_vars})
-    except InfeasibleError as exc:
-        raise TimingError(f"CP model infeasible: {exc}") from exc
-    slots = tuple(values[v.index] for v in slot_vars)
-    dffs = tuple(values[v.index] for v in k_vars)
-    return T1InputPlan(slots=slots, dffs=dffs)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,16 @@ from repro.network.gates import (
     T1_TAP_CODES,
     is_t1_tap,
 )
-from repro.network.logic_network import LogicNetwork, flat_arrays
+from repro.network.logic_network import LogicNetwork
 from repro.network.mffc import MffcComputer
 from repro.network.nodemap import NodeMap
 from repro.sfq.cell_library import CellLibrary, default_library
-from repro.core.t1_matching import OutputMatch, polarity_bits, t1_match_table
+from repro.core.t1_matching import (
+    T1_OUTPUTS,
+    OutputMatch,
+    polarity_bits,
+    t1_match_table,
+)
 
 
 @dataclass
@@ -104,6 +109,9 @@ def _t1_area(polarity: int, matches: Sequence[Tuple[int, OutputMatch]],
     return area
 
 
+#: roots one T1 cell can serve: one per output
+MAX_OUTPUTS = len(T1_OUTPUTS)
+
 #: nodes the matcher never scans: sources, T1 cells, taps
 _SKIP_MATCH_CODES = frozenset(
     SOURCE_CODES | {CODE_BY_GATE[Gate.T1_CELL]} | T1_TAP_CODES
@@ -115,10 +123,12 @@ def find_candidates(
     library: Optional[CellLibrary] = None,
     cuts_per_node: int = 8,
     min_outputs: int = 2,
-    max_outputs: int = 5,
     cut_db: Optional[CutDatabase] = None,
 ) -> List[T1Candidate]:
     """All positive-gain candidate groups (the paper's "found" set).
+
+    A group keeps at most :data:`MAX_OUTPUTS` roots, those with the
+    largest individual MFFC area.
 
     When *cut_db* is omitted the enumeration is shared through
     :func:`~repro.network.cuts.cached_cut_database`: repeated detection
@@ -138,7 +148,7 @@ def find_candidates(
     group_leaves: List[Tuple[int, int, int]] = []
     # per group, per member: (node, ((polarity, match), ...))
     group_members: List[List[Tuple[int, Tuple[Tuple[int, OutputMatch], ...]]]] = []
-    codes = flat_arrays(net)[0]
+    codes = net.gate_codes
     skip_codes = _SKIP_MATCH_CODES
     row_leaves, row_bits = cut_db.raw_rows()
     for node in net.nodes():
@@ -195,7 +205,7 @@ def find_candidates(
             matched = per_polarity[polarity]
             if len(matched) < min_outputs:
                 continue
-            if len(matched) > max_outputs:
+            if len(matched) > MAX_OUTPUTS:
                 # keep the most valuable roots (largest individual MFFC)
                 for node, _m in matched:
                     if node not in indiv_area:
@@ -203,7 +213,7 @@ def find_candidates(
                             area_of(x) for x in mffc.mffc(node, leaves)
                         )
                 matched = sorted(matched, key=lambda nm: -indiv_area[nm[0]])
-                matched = matched[:max_outputs]
+                matched = matched[:MAX_OUTPUTS]
             roots = tuple(n for n, _m in matched)
             cached = cone_memo.get(roots)
             if cached is None:
@@ -224,90 +234,6 @@ def find_candidates(
                     cone=cone,
                     gain=gain,
                 )
-        if best is not None:
-            candidates.append(best)
-    candidates.sort(key=lambda c: (-c.gain, c.leaves))
-    return candidates
-
-
-def find_candidates_reference(
-    net: LogicNetwork,
-    library: Optional[CellLibrary] = None,
-    cuts_per_node: int = 8,
-    min_outputs: int = 2,
-    max_outputs: int = 5,
-    cut_db: Optional[CutDatabase] = None,
-) -> List[T1Candidate]:
-    """The seed candidate search — retained as the differential oracle.
-
-    Rebuilds a dict-of-lists per group, probes all eight polarities per
-    node through :func:`match_t1_output` and recomputes MFFC areas from
-    scratch; results are bit-identical to :func:`find_candidates`.
-    """
-    from repro.core.t1_matching import match_t1_output
-    from repro.network.cuts import enumerate_cuts_reference
-    from repro.network.truth_table import TruthTable
-
-    library = library or default_library()
-    if cut_db is None:
-        cut_db = enumerate_cuts_reference(net, k=3, cuts_per_node=cuts_per_node)
-
-    groups: Dict[Tuple[int, int, int], List[Tuple[int, int]]] = {}
-    for node in net.nodes():
-        if not net.is_logic(node):
-            continue
-        g = net.gates[node]
-        if g is Gate.T1_CELL or is_t1_tap(g):
-            continue
-        for cut in cut_db[node]:
-            if len(cut.leaves) != 3 or node in cut.leaves:
-                continue
-            groups.setdefault(tuple(cut.leaves), []).append(
-                (node, cut.table.bits)
-            )
-
-    mffc = MffcComputer(net)
-    candidates: List[T1Candidate] = []
-    for leaves, members in groups.items():
-        seen_nodes: Set[int] = set()
-        uniq: List[Tuple[int, int]] = []
-        for node, bits in members:
-            if node not in seen_nodes:
-                seen_nodes.add(node)
-                uniq.append((node, bits))
-        best: Optional[T1Candidate] = None
-        for polarity in range(8):
-            matched: List[Tuple[int, OutputMatch]] = []
-            for node, bits in uniq:
-                m = match_t1_output(TruthTable(bits, 3), polarity)
-                if m is not None:
-                    matched.append((node, m))
-            if len(matched) < min_outputs:
-                continue
-            if len(matched) > max_outputs:
-                matched.sort(
-                    key=lambda nm: -sum(
-                        node_area(net, x, library)
-                        for x in mffc.mffc(nm[0], leaves)
-                    )
-                )
-                matched = matched[:max_outputs]
-            roots = [n for n, _m in matched]
-            cone = mffc.mffc_union(roots, boundary=leaves)
-            saved = sum(node_area(net, x, library) for x in cone)
-            cost = _t1_area(polarity, matched, library)
-            gain = saved - cost
-            if gain <= 0:
-                continue
-            cand = T1Candidate(
-                leaves=leaves,
-                polarity=polarity,
-                matches=tuple(matched),
-                cone=cone,
-                gain=gain,
-            )
-            if best is None or cand.gain > best.gain:
-                best = cand
         if best is not None:
             candidates.append(best)
     candidates.sort(key=lambda c: (-c.gain, c.leaves))

@@ -15,8 +15,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, TextIO, Tuple
 
-from repro.errors import ParseError
-from repro.network.gates import Gate, is_t1_tap
+from repro.errors import GateArityError, ParseError
+from repro.io.resolve import definition_order
+from repro.network.gates import Gate, check_arity, is_t1_tap
 from repro.network.logic_network import CONST0, CONST1, LogicNetwork
 from repro.network.traversal import topological_order
 
@@ -103,8 +104,11 @@ def write_bench(net: LogicNetwork, fh: TextIO) -> None:
             continue
         ins = ", ".join(name_of(f) for f in net.fanins[node])
         fh.write(f"{out} = {_NAME_BY_GATE[g]}({ins})\n")
+    # alias POs onto their driver names (an output named like its driver
+    # needs no alias)
     for po, name in zip(net.pos, po_names):
-        fh.write(f"{name} = BUFF({name_of(po)})\n")
+        if name != name_of(po):
+            fh.write(f"{name} = BUFF({name_of(po)})\n")
 
 
 def dumps_bench(net: LogicNetwork) -> str:
@@ -117,10 +121,11 @@ def dumps_bench(net: LogicNetwork) -> str:
 
 
 def read_bench(fh: TextIO) -> LogicNetwork:
-    """Parse a combinational .bench file."""
+    """Parse a combinational .bench file (definitions in any order)."""
     net = LogicNetwork("bench")
-    signals: Dict[str, int] = {}
-    pending: List[Tuple[int, str, Gate, List[str]]] = []
+    inputs: List[Tuple[int, str]] = []
+    defs: List[Tuple[int, str, List[str]]] = []
+    gates: List[Gate] = []
     outputs: List[str] = []
 
     for lineno, raw in enumerate(fh, start=1):
@@ -129,8 +134,7 @@ def read_bench(fh: TextIO) -> LogicNetwork:
             continue
         upper = line.upper()
         if upper.startswith("INPUT(") and line.endswith(")"):
-            name = line[line.index("(") + 1 : -1].strip()
-            signals[name] = net.add_pi(name)
+            inputs.append((lineno, line[line.index("(") + 1 : -1].strip()))
             continue
         if upper.startswith("OUTPUT(") and line.endswith(")"):
             outputs.append(line[line.index("(") + 1 : -1].strip())
@@ -145,36 +149,26 @@ def read_bench(fh: TextIO) -> LogicNetwork:
         if gate is None:
             raise ParseError(f"unknown gate {op!r}", lineno)
         ins = [t.strip() for t in m.group("ins").split(",") if t.strip()]
-        pending.append((lineno, m.group("out"), gate, ins))
+        defs.append((lineno, m.group("out"), ins))
+        gates.append(gate)
 
-    # resolve in dependency order, one bulk append per pass; signals
-    # defined earlier in the same pass are referenced by their pending
-    # batch id (base + index), so node order matches a per-call loop
-    remaining = pending
-    while remaining:
-        base = net.num_nodes()
-        batch: List[Tuple[Gate, List[int]]] = []
-        batch_outs: List[str] = []
-        local: Dict[str, int] = {}
-        still = []
-        for lineno, out, gate, ins in remaining:
-            if all(i in local or i in signals for i in ins):
-                fins = [local[i] if i in local else signals[i] for i in ins]
-                local[out] = base + len(batch)
-                batch.append((gate, fins))
-                batch_outs.append(out)
-            else:
-                still.append((lineno, out, gate, ins))
-        if not batch:
-            break
-        for out, node in zip(batch_outs, net.add_gates_bulk(batch)):
-            signals[out] = node
-        remaining = still
-    if remaining:
-        missing = sorted(
-            {i for _l, _o, _g, ins in remaining for i in ins if i not in signals}
+    order = definition_order(inputs, defs)
+    signals: Dict[str, int] = {name: net.add_pi(name) for _l, name in inputs}
+    # one bulk append in dependency order: a gate's id is its batch slot
+    base = net.num_nodes()
+    for slot, i in enumerate(order):
+        signals[defs[i][1]] = base + slot
+    try:
+        net.add_gates_bulk(
+            [(gates[i], [signals[name] for name in defs[i][2]]) for i in order]
         )
-        raise ParseError(f"undefined signals or loop: {missing[:5]}")
+    except GateArityError as exc:  # the batch is atomic: find the line
+        for i in order:
+            try:
+                check_arity(gates[i], len(defs[i][2]))
+            except GateArityError as bad:
+                raise ParseError(str(bad), defs[i][0]) from exc
+        raise
 
     for name in outputs:
         if name not in signals:

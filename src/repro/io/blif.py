@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.errors import ParseError
+from repro.io.resolve import definition_order
 from repro.network.gates import Gate, is_t1_tap
 from repro.network.logic_network import CONST0, CONST1, LogicNetwork
 from repro.network.traversal import topological_order
@@ -123,9 +124,11 @@ def write_blif(net: LogicNetwork, fh: TextIO) -> None:
         for row in _cover_lines(g, len(net.fanins[node])):
             fh.write(row + "\n")
 
-    # alias POs onto their driver names
+    # alias POs onto their driver names (an output named like its driver
+    # needs no alias)
     for po, po_name in zip(net.pos, po_names):
-        fh.write(f".names {name_of(po)} {po_name}\n1 1\n")
+        if po_name != name_of(po):
+            fh.write(f".names {name_of(po)} {po_name}\n1 1\n")
     fh.write(".end\n")
 
 
@@ -161,7 +164,7 @@ def _tokens(fh: TextIO) -> Iterable[Tuple[int, List[str]]]:
 def read_blif(fh: TextIO) -> LogicNetwork:
     """Parse combinational BLIF into a :class:`LogicNetwork`."""
     model_name = "top"
-    inputs: List[str] = []
+    inputs: List[Tuple[int, str]] = []
     outputs: List[str] = []
     covers: List[Tuple[int, List[str], str, List[str]]] = []
     state_rows: Optional[Tuple[List[str], str, List[str], int]] = None
@@ -181,7 +184,7 @@ def read_blif(fh: TextIO) -> LogicNetwork:
             if head == ".model":
                 model_name = toks[1] if len(toks) > 1 else "top"
             elif head == ".inputs":
-                inputs.extend(toks[1:])
+                inputs.extend((lineno, name) for name in toks[1:])
             elif head == ".outputs":
                 outputs.extend(toks[1:])
             elif head == ".names":
@@ -201,10 +204,11 @@ def read_blif(fh: TextIO) -> LogicNetwork:
             state_rows[2].append(" ".join(toks))
     flush_cover()
 
+    order = definition_order(
+        inputs, [(lineno, out, ins) for lineno, ins, out, _rows in covers]
+    )
     net = LogicNetwork(model_name)
-    signals: Dict[str, int] = {}
-    for name in inputs:
-        signals[name] = net.add_pi(name)
+    signals: Dict[str, int] = {name: net.add_pi(name) for _l, name in inputs}
 
     def build_cover(
         lineno: int, ins: List[str], rows: List[str]
@@ -231,8 +235,6 @@ def read_blif(fh: TextIO) -> LogicNetwork:
                 raise ParseError("mixed-polarity cover rows", lineno)
             lits: List[int] = []
             for ch, name in zip(pattern, ins):
-                if name not in signals:
-                    raise ParseError(f"undefined signal {name!r}", lineno)
                 if ch == "1":
                     lits.append(signals[name])
                 elif ch == "0":
@@ -270,26 +272,9 @@ def read_blif(fh: TextIO) -> LogicNetwork:
             node = net.add_not(node)
         return node
 
-    # covers may be out of order: resolve iteratively
-    remaining = list(covers)
-    progress = True
-    while remaining and progress:
-        progress = False
-        still: List[Tuple[int, List[str], str, List[str]]] = []
-        for lineno, ins, out, rows in remaining:
-            if all(name in signals for name in ins):
-                signals[out] = build_cover(lineno, ins, rows)
-                progress = True
-            else:
-                still.append((lineno, ins, out, rows))
-        remaining = still
-    if remaining:
-        missing = sorted(
-            {n for _l, ins, _o, _r in remaining for n in ins if n not in signals}
-        )
-        raise ParseError(
-            f"undefined signals (or combinational loop): {missing[:5]}"
-        )
+    for i in order:
+        lineno, ins, out, rows = covers[i]
+        signals[out] = build_cover(lineno, ins, rows)
 
     for name in outputs:
         if name not in signals:

@@ -34,7 +34,6 @@ from repro.network.simulation import (
     random_patterns,
     simulate,
     simulate_exhaustive,
-    simulate_nodewise,
     simulate_pos,
     simulate_words,
 )
@@ -43,15 +42,12 @@ from repro.network.cuts import (
     CutDatabase,
     cached_cut_database,
     enumerate_cuts,
-    enumerate_cuts_reference,
 )
 from repro.network.mffc import MffcComputer, mffc
 from repro.network.npn import (
     NpnTransform,
     match_against,
-    match_against_enum,
     npn_canon,
-    npn_canon_enum,
     npn_class_members,
     npn_equivalent,
     warm_tables,
@@ -69,7 +65,7 @@ from repro.network.isop import (
     sop_gate_count,
     synthesize_sop,
 )
-from repro.network.transforms import refactor, refactor_reference, to_aig_form
+from repro.network.transforms import refactor, to_aig_form
 from repro.network.equivalence import (
     CecResult,
     assert_equivalent,
@@ -77,7 +73,6 @@ from repro.network.equivalence import (
     exhaustive_equivalence,
     sat_equivalence,
     signature_equivalence,
-    simulate_equivalence,
 )
 
 __all__ = [
@@ -94,7 +89,6 @@ __all__ = [
     "isop",
     "isop_interval",
     "refactor",
-    "refactor_reference",
     "sop_cache_info",
     "sop_gate_count",
     "synthesize_sop",
@@ -116,7 +110,6 @@ __all__ = [
     "eval_int",
     "fold_gate",
     "cached_cut_database",
-    "enumerate_cuts_reference",
     "exhaustive_equivalence",
     "exhaustive_pi_patterns",
     "exhaustive_pi_patterns_chunk",
@@ -131,16 +124,12 @@ __all__ = [
     "npn_equivalent",
     "or3_tt",
     "random_patterns",
-    "match_against_enum",
-    "npn_canon_enum",
     "npn_class_members",
     "warm_tables",
     "sat_equivalence",
     "signature_equivalence",
     "simulate",
-    "simulate_equivalence",
     "simulate_exhaustive",
-    "simulate_nodewise",
     "simulate_pos",
     "simulate_words",
     "strash",

@@ -23,7 +23,7 @@ import heapq
 from typing import Dict, List, Tuple
 
 from repro.network.gates import CODE_BY_GATE, GATES_BY_CODE, Gate
-from repro.network.logic_network import LogicNetwork, flat_arrays
+from repro.network.logic_network import LogicNetwork
 from repro.network.nodemap import NodeMap
 
 _ASSOCIATIVE = (Gate.AND, Gate.OR, Gate.XOR)
@@ -74,7 +74,8 @@ def balance(
     lvl = net.levels()
     fanout_counts = net.compute_fanout_counts()
     fanouts = net.compute_fanouts()
-    codes, off, deg, pool = flat_arrays(net)
+    codes = net.gate_codes
+    off, deg, pool = net.fanin_arrays()
     assoc_codes = _ASSOC_CODES
     out = net.clone()
     replaced: Dict[int, int] = {}

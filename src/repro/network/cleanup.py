@@ -25,12 +25,7 @@ from repro.network.gates import (
     Gate,
     T1_TAP_CODES,
 )
-from repro.network.logic_network import (
-    CONST0,
-    CONST1,
-    LogicNetwork,
-    flat_arrays,
-)
+from repro.network.logic_network import CONST0, CONST1, LogicNetwork
 from repro.network.nodemap import NodeMap
 from repro.network.traversal import live_nodes
 
@@ -59,7 +54,8 @@ def strash(net: LogicNetwork) -> Tuple[LogicNetwork, NodeMap]:
     """
     order = net.topological_order()
     live = live_nodes(net)
-    codes, off, deg, pool = flat_arrays(net)
+    codes = net.gate_codes
+    off, deg, pool = net.fanin_arrays()
     out = LogicNetwork(net.name, hash_cons=True)
     mapping = {CONST0: CONST0, CONST1: CONST1}
 

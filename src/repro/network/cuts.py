@@ -27,15 +27,10 @@ packed int key — no tuple hashing on the hot path.
 
 Whole databases are cached per network mutation epoch by
 :func:`cached_cut_database`.
-
-The seed per-candidate implementation is retained as
-:func:`enumerate_cuts_reference` — the differential oracle for the
-kernel (and the baseline the mapping benchmarks measure against).
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -47,10 +42,8 @@ from repro.network.gates import (
     GATES_BY_CODE,
     Gate,
     T1_TAP_CODES,
-    eval_gate,
-    is_t1_tap,
 )
-from repro.network.logic_network import LogicNetwork, flat_arrays
+from repro.network.logic_network import LogicNetwork
 from repro.network.traversal import topological_order
 from repro.network.truth_table import TruthTable
 
@@ -151,39 +144,19 @@ class CutDatabase:
 
     def __init__(
         self,
-        cuts: List[List[Cut]],
+        rstart: Sequence[int],
+        rcount: Sequence[int],
+        row_leaves: List[Tuple[int, ...]],
+        row_bits: List[int],
         k: int,
         epoch: int = -1,
         cuts_per_node: int = 8,
         include_trivial: bool = True,
     ):
-        # compatibility constructor: flatten a hand-built list-of-lists
-        # into row storage, keeping the given Cut objects as the
-        # materialised cache so identities survive
-        rstart = array("q")
-        rcount = array("q")
-        row_leaves: List[Tuple[int, ...]] = []
-        row_bits: List[int] = []
-        mat: Dict[int, List[Cut]] = {}
-        for node, node_cuts in enumerate(cuts):
-            rstart.append(len(row_bits))
-            rcount.append(len(node_cuts))
-            for c in node_cuts:
-                row_leaves.append(c.leaves)
-                row_bits.append(c.table.bits)
-            mat[node] = node_cuts
-        self._init_rows(
-            rstart, rcount, row_leaves, row_bits,
-            k, epoch, cuts_per_node, include_trivial,
-        )
-        self._mat = mat
-
-    def _init_rows(
-        self, rstart, rcount, row_leaves, row_bits,
-        k, epoch, cuts_per_node, include_trivial,
-    ) -> None:
-        self._rstart = rstart
-        self._rcount = rcount
+        """Adopt flat row storage: node ``i`` owns rows
+        ``rstart[i] : rstart[i] + rcount[i]`` of *row_leaves*/*row_bits*."""
+        self._rstart = array("q", rstart)
+        self._rcount = array("q", rcount)
         self._row_leaves = row_leaves
         self._row_bits = row_bits
         self.k = k
@@ -192,19 +165,6 @@ class CutDatabase:
         self.include_trivial = include_trivial
         #: lazily materialised per-node Cut lists (identity-stable)
         self._mat: Dict[int, List[Cut]] = {}
-
-    @classmethod
-    def _from_rows(
-        cls, rstart, rcount, row_leaves, row_bits,
-        k, epoch, cuts_per_node, include_trivial,
-    ) -> "CutDatabase":
-        """Kernel constructor: adopt flat row storage without boxing."""
-        self = cls.__new__(cls)
-        self._init_rows(
-            array("q", rstart), array("q", rcount), row_leaves, row_bits,
-            k, epoch, cuts_per_node, include_trivial,
-        )
-        return self
 
     @property
     def cuts(self) -> _CutsView:
@@ -362,27 +322,6 @@ _EVAL_BY_CODE = tuple(
     }.get(g)
     for g in GATES_BY_CODE
 )
-
-
-def _compose_table(
-    net: LogicNetwork,
-    gate: Gate,
-    fanin_cuts: Sequence[Cut],
-    leaves: Tuple[int, ...],
-) -> TruthTable:
-    """Truth table of ``gate`` over *leaves* from its fanins' cut tables.
-
-    The seed composition through :class:`TruthTable` methods — used by
-    :func:`enumerate_cuts_reference` so the oracle exercises none of the
-    kernel's int fast paths."""
-    k = len(leaves)
-    pos = {leaf: i for i, leaf in enumerate(leaves)}
-    mask = (1 << (1 << k)) - 1
-    fanin_tts = []
-    for cut in fanin_cuts:
-        positions = [pos[leaf] for leaf in cut.leaves]
-        fanin_tts.append(cut.table.remap(positions, k).bits)
-    return TruthTable(eval_gate(gate, fanin_tts, mask) & mask, k)
 
 
 def _merge_spans(
@@ -558,15 +497,15 @@ def enumerate_cuts(
     already mapped; re-matching inside them is pointless).
 
     Reads gates and fanins from the flat struct-of-arrays core and
-    stores results as flat row arrays; produces cut sets bit-identical
-    to :func:`enumerate_cuts_reference` without allocating any ``Cut`` /
+    stores results as flat row arrays, without allocating any ``Cut`` /
     ``TruthTable`` objects.
     """
     if k < 1:
         raise NetworkError("cut size k must be >= 1")
     if order is None:
         order = topological_order(net)
-    codes, off, deg, pool = flat_arrays(net)
+    codes = net.gate_codes
+    off, deg, pool = net.fanin_arrays()
     n = net.num_nodes()
     rstart = [0] * n
     rcount = [0] * n
@@ -616,95 +555,9 @@ def enumerate_cuts(
             append_bits(var0)
         rcount[node] = len(row_bits) - start
 
-    return CutDatabase._from_rows(
+    return CutDatabase(
         rstart, rcount, row_leaves, row_bits,
         k, net.epoch, cuts_per_node, include_trivial,
-    )
-
-
-def enumerate_cuts_reference(
-    net: LogicNetwork,
-    k: int = 3,
-    cuts_per_node: int = 8,
-    include_trivial: bool = True,
-    order: Optional[Sequence[int]] = None,
-) -> CutDatabase:
-    """The seed per-candidate enumeration — the kernel's differential oracle.
-
-    Allocates a frozen dataclass pair per candidate, walks the tuple
-    views and composes tables through :class:`TruthTable` methods;
-    results are bit-identical to :func:`enumerate_cuts`.
-    """
-    if k < 1:
-        raise NetworkError("cut size k must be >= 1")
-    if order is None:
-        order = topological_order(net)
-    n = net.num_nodes()
-    db: List[List[Cut]] = [[] for _ in range(n)]
-    gates = net.gates
-    fanins = net.fanins
-    tt_var0 = TruthTable.var(0, 1)
-
-    for node in order:
-        g = gates[node]
-        if g in (Gate.CONST0, Gate.CONST1):
-            db[node] = [Cut((), TruthTable.const(g is Gate.CONST1, 0))]
-            continue
-        if g is Gate.PI or g is Gate.T1_CELL or is_t1_tap(g):
-            db[node] = [Cut((node,), tt_var0)]
-            continue
-
-        fins = fanins[node]
-        fanin_cut_sets = [db[f] for f in fins]
-
-        chosen: Dict[Tuple[int, ...], Tuple[Cut, ...]] = {}
-        for combo in itertools.product(*fanin_cut_sets):
-            leaves_set = set()
-            ok = True
-            for c in combo:
-                leaves_set.update(c.leaves)
-                if len(leaves_set) > k:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            key = tuple(sorted(leaves_set))
-            if key not in chosen:
-                chosen[key] = combo
-
-        keys = sorted(chosen.keys(), key=lambda t: (len(t), t))
-        kept: List[Tuple[Tuple[int, ...], set, int]] = []
-        for key in keys:
-            sig = leaf_signature(key)
-            ks = None
-            dominated = False
-            for _prev_key, prev_set, prev_sig in kept:
-                if prev_sig & ~sig:
-                    continue
-                if ks is None:
-                    ks = set(key)
-                if prev_set <= ks:
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            kept.append((key, set(key), sig))
-        kept = kept[:cuts_per_node]
-
-        result = [
-            Cut(key, _compose_table(net, g, chosen[key], key), sig)
-            for key, _ks, sig in kept
-        ]
-        if include_trivial:
-            result.append(Cut((node,), tt_var0))
-        db[node] = result
-
-    return CutDatabase(
-        db,
-        k,
-        epoch=net.epoch,
-        cuts_per_node=cuts_per_node,
-        include_trivial=include_trivial,
     )
 
 

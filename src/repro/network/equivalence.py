@@ -20,10 +20,9 @@ The T1 flow uses CEC after every replacement pass: T1 taps evaluate their
 XOR3/MAJ3/OR3 semantics in simulation, and the CNF encoder expands them
 the same way, so mapped and original networks are compared directly.
 
-The multi-round simulation engines leave ``order=None`` on every
-:func:`~repro.network.simulation.simulate` call on purpose: the kernel
-caches the topological order per mutation epoch, so all rounds of a CEC
-run share one traversal of each (unchanged) network.
+:func:`~repro.network.simulation.simulate` caches its grouped schedule
+per mutation epoch, so all rounds of a CEC run share one traversal of
+each (unchanged) network.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from repro.network.simulation import (
 )
 
 EXHAUSTIVE_PI_LIMIT = 14
+#: narrowest round the signature engine halves its width down to
 DEFAULT_RANDOM_WIDTH = 4096
-DEFAULT_RANDOM_ROUNDS = 16
 #: the signature engine spends the same 64 Ki stimulus bits as the seed
 #: (16 rounds x 4096) in two wide rounds — ~8x fewer full-network
 #: traversals for identical falsification power
@@ -88,31 +87,6 @@ def _extract_cex(
         name = a.get_name(pi) or f"pi{i}"
         cex[name] = (pi_vectors[i] >> bit) & 1
     return cex
-
-
-def simulate_equivalence(
-    a: LogicNetwork,
-    b: LogicNetwork,
-    width: int = DEFAULT_RANDOM_WIDTH,
-    rounds: int = DEFAULT_RANDOM_ROUNDS,
-    seed: int = 2024,
-) -> CecResult:
-    """Random-simulation CEC: complete only as a falsifier.
-
-    The seed many-narrow-rounds engine, retained as the differential
-    baseline for :func:`signature_equivalence` (and for callers that
-    want the classic round structure)."""
-    _check_interfaces(a, b)
-    for r in range(rounds):
-        vecs = random_patterns(len(a.pis), width, seed=seed + r)
-        pos_a = simulate_pos(a, vecs, width)
-        pos_b = simulate_pos(b, vecs, width)
-        for va, vb in zip(pos_a, pos_b):
-            diff = va ^ vb
-            if diff:
-                bit = (diff & -diff).bit_length() - 1
-                return CecResult(False, "random", _extract_cex(a, vecs, bit))
-    return CecResult(True, "random")
 
 
 def signature_equivalence(
@@ -226,8 +200,6 @@ def check_equivalence(
     a: LogicNetwork,
     b: LogicNetwork,
     complete: bool = True,
-    random_width: int = DEFAULT_SIGNATURE_WIDTH,
-    random_rounds: int = DEFAULT_SIGNATURE_ROUNDS,
 ) -> CecResult:
     """CEC with engine escalation.
 
@@ -243,7 +215,7 @@ def check_equivalence(
     _check_interfaces(a, b)
     if len(a.pis) <= EXHAUSTIVE_PI_LIMIT:
         return exhaustive_equivalence(a, b)
-    res = signature_equivalence(a, b, width=random_width, rounds=random_rounds)
+    res = signature_equivalence(a, b)
     if not res.equivalent or not complete:
         return res
     return sat_equivalence(a, b)

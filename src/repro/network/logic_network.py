@@ -50,9 +50,9 @@ Design notes
 * The T1 cell is a multi-output block: a ``T1_CELL`` node plus tap nodes
   (see :mod:`repro.network.gates`).
 
-The pre-flat tuple-layout kernel is retained verbatim as
-:class:`repro.network.logic_network_reference.ReferenceLogicNetwork` and
-pinned against this implementation by randomized differential fuzz.
+The pre-flat tuple-layout kernel lives on in the tests
+(``tests/oracles/logic_network.py``) and is pinned against this
+implementation by randomized differential fuzz.
 """
 
 from __future__ import annotations
@@ -1395,26 +1395,3 @@ class LogicNetwork:
             f"pis={s['pis']}, pos={s['pos']}, t1={s['t1_cells']})"
         )
 
-
-def flat_arrays(net) -> Tuple[bytearray, array, array, array]:
-    """``(gate codes, fanin offsets, degrees, pool)`` of any network.
-
-    On the flat kernel this returns the live raw containers (zero-copy;
-    they alias the network, so snapshot them before mutating if you need
-    stability).  On a tuple-layout network (e.g. the retained
-    ``ReferenceLogicNetwork`` oracle) it builds an equivalent one-shot
-    snapshot — the shared fallback for every array-native consumer
-    (simulation schedule, cut enumeration, MFFC, balance, diff).
-    """
-    try:
-        return net.gate_codes, *net.fanin_arrays()
-    except AttributeError:
-        codes = bytearray(CODE_BY_GATE[g] for g in net.gates)
-        off = array("q")
-        deg = array("q")
-        pool = array("q")
-        for fins in net.fanins:
-            off.append(len(pool))
-            deg.append(len(fins))
-            pool.extend(fins)
-        return codes, off, deg, pool

@@ -20,7 +20,7 @@ from repro.network.gates import (
     SOURCE_CODES,
     T1_TAP_CODES,
 )
-from repro.network.logic_network import LogicNetwork, flat_arrays
+from repro.network.logic_network import LogicNetwork
 
 #: gate codes a cone walk may absorb: plain logic only — sources
 #: (const/PI) always stop it, T1 cells and taps are the result of a
@@ -48,7 +48,8 @@ class MffcComputer:
         # reference counts (no edge rescan); the walk below mutates and
         # restores it
         self.refs = net.compute_fanout_counts()
-        self._codes, self._off, self._deg, self._pool = flat_arrays(net)
+        self._codes = net.gate_codes
+        self._off, self._deg, self._pool = net.fanin_arrays()
 
     def _stoppable(self, node: int) -> bool:
         """Nodes at which the cone always stops (never absorbed)."""

@@ -12,10 +12,9 @@ function are precomputed once per process and the per-call cost collapses
 to a list index.  k = 4 keeps the enumerating search but memoises it per
 function (65536 functions exist; only the ones actually seen pay).
 
-The exhaustive-search implementation is retained unchanged as
-:func:`npn_canon_enum` / :func:`match_against_enum` — it is the
-differential oracle the table construction is tested against (Boolean
-matching per De Micheli, ref. [9] of the paper).
+The tables are tested against an exhaustive search over every
+transform (Boolean matching per De Micheli, ref. [9] of the paper),
+which lives in the tests.
 """
 
 from __future__ import annotations
@@ -158,8 +157,9 @@ def npn_canon(tt: TruthTable) -> Tuple[TruthTable, NpnTransform]:
     """Canonical representative and the transform that produces it.
 
     ``transform.apply(tt) == canonical``.  Table lookup for k <= 3,
-    memoised enumeration for k = 4; bit-identical to
-    :func:`npn_canon_enum` (including the chosen transform).
+    memoised enumeration for k = 4; bit-identical to the exhaustive
+    first-minimum search over :func:`_all_transforms` (including the
+    chosen transform).
     """
     k = tt.num_vars
     if k > 4:
@@ -183,21 +183,6 @@ def warm_tables(max_k: int = 3) -> None:
         _npn_table(k)
 
 
-def npn_canon_enum(tt: TruthTable) -> Tuple[TruthTable, NpnTransform]:
-    """The seed exhaustive search — retained as the differential oracle."""
-    if tt.num_vars > 4:
-        raise TruthTableError("NPN canonisation supported up to 4 variables")
-    best: Optional[TruthTable] = None
-    best_tf: Optional[NpnTransform] = None
-    for tf in _all_transforms(tt.num_vars):
-        cand = tf.apply(tt)
-        if best is None or cand.bits < best.bits:
-            best = cand
-            best_tf = tf
-    assert best is not None and best_tf is not None
-    return best, best_tf
-
-
 def npn_equivalent(a: TruthTable, b: TruthTable) -> bool:
     """True when the two functions share an NPN class."""
     if a.num_vars != b.num_vars:
@@ -213,7 +198,7 @@ def match_against(
     Computed through the canonical forms: when both functions canonise to
     the same table, ``canon_tf(target)^-1 . canon_tf(candidate)`` is a
     witness.  The returned transform is always valid but need not be the
-    first one :func:`match_against_enum` would enumerate.
+    first one an exhaustive search would enumerate.
     """
     if target.num_vars != candidate.num_vars:
         return None
@@ -222,18 +207,6 @@ def match_against(
     if canon_t.bits != canon_c.bits:
         return None
     return tf_t.inverse().after(tf_c)
-
-
-def match_against_enum(
-    target: TruthTable, candidate: TruthTable
-) -> Optional[NpnTransform]:
-    """The seed exhaustive matcher — retained as the differential oracle."""
-    if target.num_vars != candidate.num_vars:
-        return None
-    for tf in _all_transforms(target.num_vars):
-        if tf.apply(candidate).bits == target.bits:
-            return tf
-    return None
 
 
 def npn_class_members(tt: TruthTable) -> frozenset:

@@ -5,20 +5,15 @@ the node's value under input pattern ``j``.  Python's big integers make
 this both simple and fast (a single ``&`` simulates W patterns at once),
 and exhaustive simulation of a k-input network is just ``W = 2**k``.
 
-Two evaluation engines share one contract (bit-identical results):
-
-* :func:`simulate_nodewise` — the per-node reference loop: one
-  :func:`~repro.network.gates.eval_gate` dispatch per node in
-  topological order.
-* :func:`simulate` (default path) — the **gate-grouped kernel**: nodes
-  are bucketed by (topological level, gate kind) into a schedule of
-  flat ``array('q')`` lanes, and each bucket runs one tight zip loop of
-  a single Boolean operation over the big-int value list.  Within a
-  level every node depends only on strictly lower levels (T1 taps read
-  their *cell's* fanins, which sit below the cell's level), so buckets
-  at the same level are order-independent.  The schedule is cached on
-  the network per mutation epoch, so the multi-round CEC and signature
-  engines pay the grouping once and then run dispatch-free rounds.
+:func:`simulate` is the **gate-grouped kernel**: nodes are bucketed by
+(topological level, gate kind) into a schedule of flat ``array('q')``
+lanes, and each bucket runs one tight zip loop of a single Boolean
+operation over the big-int value list.  Within a level every node
+depends only on strictly lower levels (T1 taps read their *cell's*
+fanins, which sit below the cell's level), so buckets at the same
+level are order-independent.  The schedule is cached on the network
+per mutation epoch, so the multi-round CEC and signature engines pay
+the grouping once and then run dispatch-free rounds.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from repro.network.gates import (
     eval_gate,
     is_t1_tap,
 )
-from repro.network.logic_network import LogicNetwork, flat_arrays
+from repro.network.logic_network import LogicNetwork
 from repro.network.truth_table import TruthTable
 
 # -- gate-grouped schedule ---------------------------------------------------
@@ -231,13 +226,13 @@ def _build_schedule(net: LogicNetwork) -> List[tuple]:
 
     Returns a list of ``(runner, columns)`` pairs in ascending level
     order; each runner performs one Boolean operation over flat
-    ``array('q')`` target/fanin columns.  Works on any network exposing
-    the ``gates``/``fanins`` sequence protocol; uses the flat-core raw
-    arrays when available.
+    ``array('q')`` target/fanin columns, read from the network's raw
+    ``gate_codes`` / ``fanin_arrays()``.
     """
     order = net.topological_order()
     lvl = net.levels()
-    codes, off, deg, pool = flat_arrays(net)
+    codes = net.gate_codes
+    off, deg, pool = net.fanin_arrays()
     family_by_code = _FAMILY_BY_CODE
     tap_codes = _TAP_CODES
     groups: Dict[tuple, tuple] = {}
@@ -309,9 +304,8 @@ def simulate(
     net: LogicNetwork,
     pi_values: Sequence[int],
     width: int,
-    order: Optional[Sequence[int]] = None,
 ) -> List[int]:
-    """Simulate the whole network.
+    """Simulate the whole network with the gate-grouped kernel.
 
     Parameters
     ----------
@@ -319,52 +313,12 @@ def simulate(
         One W-bit integer per primary input, in ``net.pis`` order.
     width:
         Number of patterns W (defines the bit mask).
-    order:
-        Optional explicit topological order.  When given, evaluation
-        falls back to the per-node loop over exactly those nodes; the
-        default runs the gate-grouped kernel over the whole network.
 
     Returns the list of node values (indexed by node id).
     """
-    if order is not None:
-        return simulate_nodewise(net, pi_values, width, order)
     values, mask = _seed_values(net, pi_values, width)
     for runner, cols in _sim_schedule(net):
         runner(values, mask, *cols)
-    return values
-
-
-def simulate_nodewise(
-    net: LogicNetwork,
-    pi_values: Sequence[int],
-    width: int,
-    order: Optional[Sequence[int]] = None,
-) -> List[int]:
-    """Per-node reference engine: one ``eval_gate`` dispatch per node.
-
-    Bit-identical to :func:`simulate`; retained as the oracle the
-    grouped kernel is fuzzed against and as the path for evaluating an
-    explicit partial ``order``.
-    """
-    values, mask = _seed_values(net, pi_values, width)
-    if order is None:
-        # cached per mutation epoch — repeated simulation rounds on the
-        # same network (the CEC loop) reuse one traversal
-        order = net.topological_order()
-    gates = net.gates
-    fanins = net.fanins
-    for node in order:
-        g = gates[node]
-        if g in (Gate.CONST0, Gate.CONST1, Gate.PI):
-            continue
-        if g is Gate.T1_CELL:
-            continue  # multi-output block; taps read its fanins directly
-        if is_t1_tap(g):
-            cell = fanins[node][0]
-            fin_vals = [values[f] for f in fanins[cell]]
-        else:
-            fin_vals = [values[f] for f in fanins[node]]
-        values[node] = eval_gate(g, fin_vals, mask)
     return values
 
 

@@ -21,10 +21,10 @@ the network.  Every node's candidate rewrites are scored up front — cut
 function, memoised ISOP cover (:func:`~repro.network.isop.cached_sop`)
 and gain — then the sweep visits the scored nodes in topological order
 and applies each node's best candidate whose leaves and cone avoid the
-nodes claimed by earlier acceptances.  The kernel is **bit-identical**
-to :func:`refactor_reference` (the seed single-sweep implementation,
-retained as the differential oracle): identical accepted rewrites,
-identical strashed result.  Iterated refactoring is repeated calls.
+nodes claimed by earlier acceptances.  The tests pin it
+**bit-identical** to the seed single sweep, which scored every cut
+against the live claimed-set: identical accepted rewrites, identical
+strashed result.  Iterated refactoring is repeated calls.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.network.cleanup import strash
 from repro.network.cuts import cached_cut_database
 from repro.network.gates import CODE_BY_GATE, Gate, T1_TAP_CODES, is_t1_tap
-from repro.network.isop import cached_sop_bits, isop, sop_gate_count, synthesize_sop
-from repro.network.logic_network import CONST0, CONST1, LogicNetwork, flat_arrays
+from repro.network.isop import cached_sop_bits, synthesize_sop
+from repro.network.logic_network import CONST0, CONST1, LogicNetwork
 from repro.network.mffc import MffcComputer
 
 
@@ -103,20 +103,6 @@ def to_aig_form(net: LogicNetwork) -> LogicNetwork:
     return hashed
 
 
-def _cone_cost(net: LogicNetwork, nodes) -> int:
-    """Gate count of a cone (BUFs free)."""
-    return sum(
-        1
-        for n in nodes
-        if net.gates[n] not in (Gate.BUF, Gate.PI, Gate.CONST0, Gate.CONST1)
-    )
-
-
-#: historical name — the fixed implementation lives in
-#: :func:`repro.network.isop.sop_gate_count` (set-bit iteration via mask
-#: union instead of a 32-position scan per cube)
-_sop_gate_count = sop_gate_count
-
 #: skip gates that are free, interface or already-mapped
 _SKIP_GATES = (Gate.PI, Gate.CONST0, Gate.CONST1, Gate.BUF)
 
@@ -129,65 +115,6 @@ _SKIP_CODES = frozenset(
 _FREE_CODES = frozenset(
     CODE_BY_GATE[g] for g in (Gate.BUF, Gate.PI, Gate.CONST0, Gate.CONST1)
 )
-
-
-def refactor_reference(
-    net: LogicNetwork,
-    cut_size: int = 4,
-    cuts_per_node: int = 8,
-) -> Tuple[LogicNetwork, int]:
-    """The seed single-sweep refactoring — the kernel's differential oracle.
-
-    Visits nodes in topological order; for each, every cut is scored
-    against the *current* claimed-set (unmemoised ISOP per candidate)
-    and the best positive-gain rewrite is applied immediately.
-    :func:`refactor` is pinned bit-identical to this (same accepted
-    count, same strashed result).
-    """
-    work = net.clone()
-    # all analysis (cuts, MFFC, costs) runs on the frozen original; the
-    # claimed-set keeps rewrites disjoint so the analysis stays valid,
-    # and the epoch-cached database is shared with any other pass that
-    # enumerated the same (unmutated) network
-    db = cached_cut_database(net, k=cut_size, cuts_per_node=cuts_per_node)
-    mffc = MffcComputer(net)
-    accepted = 0
-    claimed: set = set()
-
-    for node in net.topological_order():
-        g = net.gates[node]
-        if g in _SKIP_GATES:
-            continue
-        if g is Gate.T1_CELL or is_t1_tap(g):
-            continue
-        if node in claimed:
-            continue
-        best: Optional[Tuple[int, tuple, list, set]] = None
-        for cut in db[node]:
-            if len(cut.leaves) < 2 or node in cut.leaves:
-                continue
-            if any(leaf in claimed for leaf in cut.leaves):
-                continue
-            cone = mffc.mffc(node, boundary=cut.leaves)
-            if claimed & cone:
-                continue
-            old_cost = _cone_cost(net, cone)
-            cubes = isop(cut.table)
-            new_cost = _sop_gate_count(cubes)
-            gain = old_cost - new_cost
-            if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, cut.leaves, cubes, cone)
-        if best is None:
-            continue
-        _gain, leaves, cubes, cone = best
-        new_root = synthesize_sop(work, list(leaves), cubes)
-        work.substitute(node, new_root)
-        claimed |= cone
-        claimed.add(node)
-        accepted += 1
-
-    swept, _ = strash(work)
-    return swept, accepted
 
 
 def _score_node(codes, row_leaves, row_bits, rows, mffc, node) -> List[tuple]:
@@ -221,8 +148,8 @@ def _score_node(codes, row_leaves, row_bits, rows, mffc, node) -> List[tuple]:
 def _pick_unblocked(cands, claimed) -> Optional[tuple]:
     """Best candidate whose leaves and cone avoid *claimed*.
 
-    First-max in cut order — the reference's tie-break (strict ``>``
-    keeps the earliest cut achieving the maximum gain).
+    First-max in cut order (strict ``>`` keeps the earliest cut
+    achieving the maximum gain).
     """
     best = None
     for cand in cands:
@@ -250,7 +177,7 @@ def refactor(
 ) -> Tuple[LogicNetwork, int]:
     """One topological rewrite sweep; returns ``(new_network, accepted_rewrites)``.
 
-    Bit-identical to :func:`refactor_reference`.  Pass a dict as
+    Pass a dict as
     ``stats`` to receive kernel counters (``accepted``, ``scored_nodes``
     and ``dropped_blocked``: scored nodes whose every candidate was
     blocked by an earlier acceptance); counts add to any values already
@@ -263,7 +190,7 @@ def refactor(
     db = cached_cut_database(net, k=cut_size, cuts_per_node=cuts_per_node)
     mffc = MffcComputer(net)
     work = net.clone()
-    codes = flat_arrays(net)[0]
+    codes = net.gate_codes
     row_leaves, row_bits = db.raw_rows()
     scored: List[Tuple[int, List[tuple]]] = []
     for node in net.topological_order():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Set
 
 from repro.network.gates import is_t1_tap
-from repro.network.logic_network import LogicNetwork, flat_arrays
+from repro.network.logic_network import LogicNetwork
 
 
 def topological_order(net: LogicNetwork) -> List[int]:
@@ -53,7 +53,7 @@ def depth(net: LogicNetwork) -> int:
 
 def transitive_fanin(net: LogicNetwork, roots: Iterable[int]) -> Set[int]:
     """All nodes in the cone of influence of *roots* (roots included)."""
-    _codes, off, deg, pool = flat_arrays(net)
+    off, deg, pool = net.fanin_arrays()
     seen: Set[int] = set()
     stack = list(roots)
     while stack:

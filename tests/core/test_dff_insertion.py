@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.dff_insertion import plan_t1_inputs_cp
 from repro.errors import TimingError
 from repro.network import Gate, LogicNetwork
 from repro.sfq import SFQNetlist, check_timing, map_to_sfq
@@ -11,7 +12,6 @@ from repro.core.dff_insertion import (
     insert_dffs,
     net_chain_length,
     plan_t1_inputs,
-    plan_t1_inputs_cp,
     t1_input_cost,
     t1_slot_cost,
 )

@@ -2,16 +2,13 @@
 
 import pytest
 
-from exact_stages import heuristic_vs_optimum
+from oracles.exact_stages import heuristic_vs_optimum
 from repro.network import Gate, LogicNetwork
 from repro.network.cleanup import strash
 from repro.sfq import map_to_sfq, check_timing
 from repro.core.dff_insertion import insert_dffs
-from repro.core.phase_assignment import (
-    asap_stages,
-    assign_stages_heuristic,
-    t1_lower_bound,
-)
+from repro.core.phase_assignment import assign_stages_heuristic
+from repro.core.schedule import asap_stages, t1_lower_bound
 from repro.metrics import measure
 
 

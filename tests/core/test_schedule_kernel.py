@@ -16,13 +16,10 @@ import random
 
 import pytest
 
-from exact_stages import heuristic_vs_optimum, random_netlist
+from oracles.exact_stages import heuristic_vs_optimum, random_netlist
+from oracles.phase_assignment import _net_cost, assign_stages_rescan_reference
 from repro.core.dff_insertion import insert_dffs, t1_input_cost
-from repro.core.phase_assignment import (
-    _net_cost,
-    assign_stages_heuristic,
-    assign_stages_rescan_reference,
-)
+from repro.core.phase_assignment import assign_stages_heuristic
 from repro.core import schedule as schedule_module
 from repro.core.schedule import INF, StageSchedule
 from repro.errors import TimingError

@@ -180,7 +180,7 @@ class TestFindCandidatesDifferential:
     def test_random_xor_maj_networks(self, seed):
         import random
 
-        from repro.core.t1_detection import find_candidates_reference
+        from oracles.t1_detection import find_candidates_reference
 
         rng = random.Random(seed)
         net = LogicNetwork("rand")
@@ -206,7 +206,7 @@ class TestFindCandidatesDifferential:
         assert self.snapshot(kernel) == self.snapshot(reference)
 
     def test_adder_matches_reference(self):
-        from repro.core.t1_detection import find_candidates_reference
+        from oracles.t1_detection import find_candidates_reference
 
         net = strash(ripple_carry_adder(6))[0]
         kernel = find_candidates(net)

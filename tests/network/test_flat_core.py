@@ -1,7 +1,7 @@
 """Differential tests for the flat struct-of-arrays network core.
 
-``repro.network.logic_network_reference.ReferenceLogicNetwork`` is the
-seed tuple-layout kernel, retained verbatim as an oracle.  These tests
+``oracles.logic_network.ReferenceLogicNetwork`` is the seed tuple-layout
+kernel, retained verbatim as an oracle.  These tests
 replay randomized mutator sequences (``add_pi`` / ``add_gate`` /
 ``add_po`` / ``substitute`` / ``replace_fanin`` / ``compact`` /
 ``clone``) against both kernels in lockstep and require the observable
@@ -26,8 +26,9 @@ from repro.circuits.synthetic import (
     synthetic_names,
 )
 from repro.errors import NetworkError, ReproError
-from repro.network import Gate, LogicNetwork, simulate, simulate_nodewise
-from repro.network.logic_network_reference import ReferenceLogicNetwork
+from oracles.logic_network import ReferenceLogicNetwork
+from oracles.simulation import simulate_nodewise
+from repro.network import Gate, LogicNetwork, simulate
 from repro.network.simulation import random_patterns
 
 #: (gate, arity) mutator mix — every family plus variadic shapes
@@ -172,7 +173,7 @@ def test_fuzz_simulation_grouped_matches_nodewise(seed):
     grouped = simulate(flat, pats, width)
     nodewise = simulate_nodewise(flat, pats, width)
     assert grouped == nodewise
-    # the schedule-building fallback path works on the tuple kernel too
+    # the schedule builder also runs on the tuple kernel's array snapshots
     assert simulate(ref, pats, width) == nodewise
 
 

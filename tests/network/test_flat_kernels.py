@@ -9,8 +9,8 @@ pin the ports two ways:
   ``enumerate_cuts_reference`` on fuzzed mutator sequences and on the
   ``--scale`` synthetic generators;
 * **vs the tuple kernel** — every ported pass also runs on a
-  ``ReferenceLogicNetwork`` replay of the same circuit (exercising the
-  ``flat_arrays`` snapshot fallback) and must produce identical
+  ``ReferenceLogicNetwork`` replay of the same circuit (through its
+  ``gate_codes`` / ``fanin_arrays()`` snapshots) and must produce identical
   results, including across ``compact()`` NodeMap events.
 
 The mutator machinery is shared with ``test_flat_core``.
@@ -20,16 +20,11 @@ import random
 
 import pytest
 
+from oracles.cuts import enumerate_cuts_reference
+from oracles.logic_network import ReferenceLogicNetwork
 from repro.circuits.synthetic import build_synthetic
-from repro.network import (
-    Gate,
-    MffcComputer,
-    balance,
-    enumerate_cuts,
-    enumerate_cuts_reference,
-)
+from repro.network import Gate, MffcComputer, balance, enumerate_cuts
 from repro.network.gates import is_t1_tap
-from repro.network.logic_network_reference import ReferenceLogicNetwork
 
 from tests.network.test_flat_core import _fuzz_round, _seed_pair
 
@@ -81,7 +76,7 @@ class TestCutKernelDifferential:
         kernel = rows_of(enumerate_cuts(flat, k=k))
         oracle = rows_of(enumerate_cuts_reference(flat, k=k))
         assert kernel == oracle
-        # the snapshot fallback of flat_arrays: same kernel, tuple net
+        # same kernel on the tuple net's array snapshots
         assert rows_of(enumerate_cuts(ref, k=k)) == oracle
 
     @pytest.mark.parametrize("name,size,seed", [

@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from oracles.cuts import enumerate_cuts_reference
+from oracles.npn import match_against_enum, npn_canon_enum
 from repro.errors import TruthTableError
 from repro.network import (
     Gate,
@@ -22,11 +24,8 @@ from repro.network import (
     TruthTable,
     cached_cut_database,
     enumerate_cuts,
-    enumerate_cuts_reference,
     match_against,
-    match_against_enum,
     npn_canon,
-    npn_canon_enum,
     npn_class_members,
 )
 from repro.network.npn import NpnTransform, _all_transforms

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from oracles.transforms import refactor_reference
 from repro.network import (
     LogicNetwork,
     TruthTable,
@@ -16,7 +17,6 @@ from repro.network import (
     exhaustive_equivalence,
     isop,
     refactor,
-    refactor_reference,
     sop_gate_count,
     synthesize_sop,
     to_aig_form,

@@ -9,6 +9,9 @@ Supports exactly what the paper's DFF-insertion model (§II-C) needs:
 
 Solving = bounds-consistency propagation + DFS with first-fail variable
 order and value enumeration.  Complete on the small models it is given.
+
+Test-side only: the flow plans T1 slots in closed form, and
+:mod:`oracles.dff_insertion` solves the same model here to cross-check it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The retained tuple-layout network kernel — the flat core's oracle.
 
-This is the pre-flat-array :class:`LogicNetwork` implementation, kept
-verbatim (``gates`` as a ``List[Gate]``, ``fanins`` as a
+This is the pre-flat-array :class:`~repro.network.LogicNetwork`
+implementation, kept verbatim (``gates`` as a ``List[Gate]``, ``fanins`` as a
 ``List[Tuple[int, ...]]``, compaction by list rebuild) so the
 struct-of-arrays core in :mod:`repro.network.logic_network` has a
 differential oracle: the randomized fuzz in
@@ -10,17 +10,20 @@ differential oracle: the randomized fuzz in
 ``clone``) against both layouts and asserts identical gates, fanins,
 ``NodeMap`` events and ``structural_hash``.
 
-Not part of the public API and not used by any flow path — tests and
-benchmarks only.
+Tests and benchmarks only.  :attr:`ReferenceLogicNetwork.gate_codes`
+and :meth:`ReferenceLogicNetwork.fanin_arrays` build one-shot snapshots
+of the flat core's raw arrays, so the array-native passes (cut
+enumeration, MFFC, balance) run on this layout too.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CycleError, NetworkError
-from repro.network.gates import Gate, check_arity, is_t1_tap
+from repro.network.gates import CODE_BY_GATE, Gate, check_arity, is_t1_tap
 from repro.network.logic_network import (
     CONST0,
     CONST1,
@@ -293,6 +296,22 @@ class ReferenceLogicNetwork:
 
     def fanin(self, node: int) -> Tuple[int, ...]:
         return self.fanins[node]
+
+    @property
+    def gate_codes(self) -> bytearray:
+        """Snapshot of the per-node gate codes, as the flat core stores them."""
+        return bytearray(CODE_BY_GATE[g] for g in self.gates)
+
+    def fanin_arrays(self) -> Tuple[array, array, array]:
+        """Snapshot of the fanins as CSR ``(offsets, degrees, pool)``."""
+        off = array("q")
+        deg = array("q")
+        pool = array("q")
+        for fins in self.fanins:
+            off.append(len(pool))
+            deg.append(len(fins))
+            pool.extend(fins)
+        return off, deg, pool
 
     def is_pi(self, node: int) -> bool:
         return self.gates[node] is Gate.PI

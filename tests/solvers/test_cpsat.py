@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import InfeasibleError, SolverError
-from repro.solvers import CpModel
+from oracles.cpsat import CpModel
 
 
 def test_simple_linear():

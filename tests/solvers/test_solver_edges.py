@@ -7,7 +7,7 @@ from repro.errors import (
     SolverError,
     SolverLimitError,
 )
-from repro.solvers import CpModel
+from oracles.cpsat import CpModel
 
 
 class TestCpEdges:

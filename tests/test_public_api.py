@@ -17,7 +17,6 @@ PACKAGES = [
     "repro",
     "repro.network",
     "repro.sat",
-    "repro.solvers",
     "repro.sfq",
     "repro.core",
     "repro.circuits",
@@ -83,6 +82,44 @@ def _import_roots(path: Path):
                 yield alias.name.split(".")[0], node.lineno
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module.split(".")[0], node.lineno
+
+
+#: test oracles are never shipped (they live in tests/oracles)
+ORACLE_NAMES = {"simulate_nodewise", "plan_t1_inputs_cp"}
+ORACLE_SUFFIXES = ("_reference", "_enum")
+#: the bit-exact software models of generated circuits are public API
+#: (examples/fir_streaming.py checks a circuit against one), not oracles
+CIRCUIT_MODELS = {"cordic_sin_reference", "fir_reference", "log2_reference"}
+
+
+def _defined_names(path: Path):
+    """Every function/class name and module-level assignment in *path*."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def test_package_ships_no_oracles():
+    """Oracles stay in tests/oracles; the package never imports tests."""
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        where = path.relative_to(REPO)
+        for name, lineno in _defined_names(path):
+            if name in CIRCUIT_MODELS:
+                continue
+            if name in ORACLE_NAMES or name.endswith(ORACLE_SUFFIXES):
+                found.append(f"{where}:{lineno}: defines {name}")
+        for root, lineno in _import_roots(path):
+            if root in ("tests", "oracles"):
+                found.append(f"{where}:{lineno}: imports {root}")
+    assert not found, found
 
 
 def test_every_import_is_declared():
