@@ -14,9 +14,9 @@ extends a measured perf trajectory instead of guessing:
   maintained fanout index the ratio stays near 1; the old
   full-scan kernel scaled with network size;
 * **cut enumeration / full flow** — the mapping hot loop and
-  end-to-end ``Pipeline.standard`` wall time per registry circuit,
-  with speedups against ``benchmarks/baseline_seed.json`` (the
-  pre-refactor kernel) when that file is present;
+  end-to-end ``Pipeline.standard`` wall time per registry circuit
+  (absolute times of this host: no stored time from another host is
+  divided by them);
 * **rewrite loops** — the topological-sweep ``refactor`` kernel vs
   the retained seed sweep ``refactor_reference`` on every large
   registry circuit, pinned to identical accepted counts and an
@@ -35,9 +35,7 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import _harness
 from oracles.transforms import refactor_reference
@@ -46,8 +44,6 @@ from repro.errors import NetworkError
 from repro.network import Gate, LogicNetwork, enumerate_cuts, refactor, balance
 from repro.network.isop import clear_sop_cache
 from repro.pipeline import Pipeline
-
-BASELINE_PATH = Path(__file__).resolve().parent / "baseline_seed.json"
 
 
 def _check(net: LogicNetwork, where: str, failures: list) -> None:
@@ -239,9 +235,8 @@ def bench_rewrite_loops(preset, failures, repeats=2):
     return out
 
 
-def bench_flow(circuits, preset, failures, baseline, repeats=3):
+def bench_flow(circuits, preset, failures, repeats=3):
     out = {}
-    base_flows = (baseline or {}).get("flow", {}).get(preset, {})
     for name in circuits:
         best = None
         ctx = None
@@ -252,14 +247,10 @@ def bench_flow(circuits, preset, failures, baseline, repeats=3):
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         _check(ctx.network, f"flow:{name}", failures)
-        entry = {
+        out[name] = {
             "seconds": round(best, 4),
             "metrics": ctx.metrics.as_dict(),
         }
-        if name in base_flows:
-            entry["seed_kernel_seconds"] = base_flows[name]
-            entry["speedup_vs_seed"] = round(base_flows[name] / best, 2)
-        out[name] = entry
     return out
 
 
@@ -271,9 +262,6 @@ def main(argv=None) -> int:
 
     preset = "ci" if args.quick else "paper"
     circuits = list(TABLE1_ORDER)
-    baseline = None
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
 
     failures: list = []
     report = {
@@ -283,7 +271,7 @@ def main(argv=None) -> int:
         "substitute": bench_substitute(args.quick, failures),
         "cut_enumeration": bench_cut_enumeration(circuits, preset, failures),
         "rewrite_loops": bench_rewrite_loops(preset, failures),
-        "flow": bench_flow(circuits, preset, failures, baseline),
+        "flow": bench_flow(circuits, preset, failures),
         "invariants_ok": not failures,
         "invariant_failures": failures,
     }
@@ -302,9 +290,7 @@ def main(argv=None) -> int:
             f"accepted {entry['refactor_accepted']})"
         )
     for name, entry in report["flow"].items():
-        speed = entry.get("speedup_vs_seed")
-        extra = f"  ({speed}x vs seed kernel)" if speed else ""
-        print(f"flow {name:<11} {entry['seconds']:.3f}s{extra}")
+        print(f"flow {name:<11} {entry['seconds']:.3f}s")
     return _harness.exit_code("KERNEL INVARIANT FAILURES", failures)
 
 

@@ -17,7 +17,7 @@ Top-level convenience re-exports; see subpackages for the full API:
 
 from repro.network import Gate, LogicNetwork, TruthTable
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = ["Gate", "LogicNetwork", "TruthTable", "__version__"]
 

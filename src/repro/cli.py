@@ -100,7 +100,6 @@ def _run_config(args) -> dict:
             "use_t1": args.t1,
             "verify": args.verify,
             "sweeps": args.sweeps,
-            "balance_pos": not args.no_po_balance,
             "share_chains": not args.no_share,
             "balance_network": args.balance,
         }
@@ -298,7 +297,6 @@ def make_parser() -> argparse.ArgumentParser:
             "--verify", choices=VERIFY_MODES, default="cec"
         )
         p_.add_argument("--sweeps", type=int, default=4)
-        p_.add_argument("--no-po-balance", action="store_true")
         p_.add_argument("--no-share", action="store_true",
                         help="per-edge DFF chains (no net sharing)")
         p_.add_argument("--balance", action="store_true",

@@ -7,7 +7,7 @@ materialises the path-balancing DFFs:
   every consumer taps the chain element within n stages (max-gap rule —
   the net costs ``max_v ⌈gap/n⌉ − 1`` DFFs);
 * **primary outputs** are balanced to a common boundary one stage past
-  the deepest cell (optional, on by default);
+  the deepest cell;
 * **T1 fanins** are special: the three T pulses must *arrive* at pairwise
   distinct stages inside the freshness window (σ_T1 − n, σ_T1).  An input
   arrives either directly from its driver (gap ≤ n, zero DFFs) or from
@@ -136,7 +136,6 @@ def net_chain_length(gaps: Sequence[int], n: int) -> int:
 
 def insert_dffs(
     netlist: SFQNetlist,
-    balance_pos: bool = True,
     share_chains: bool = True,
 ) -> InsertionReport:
     """Insert every path-balancing and staggering DFF; mutates *netlist*.
@@ -176,9 +175,7 @@ def insert_dffs(
     # ---- group ordinary consumers by net ------------------------------------
     # maintained (consumer, fanin index) slots per signal, T1 fanins excluded
     net_consumers: Dict[Signal, List[Tuple[int, int]]] = structure.net_slots
-    po_by_signal: Dict[Signal, List[int]] = (
-        structure.po_slots if balance_pos else {}
-    )
+    po_by_signal: Dict[Signal, List[int]] = structure.po_slots
 
     def insert_for_group(
         sig: Signal,

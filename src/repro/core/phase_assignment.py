@@ -11,7 +11,7 @@ on small netlists.
 
 Constraints:
 
-* PIs arrive in epoch 0 (stage 0..n−1, or pinned at 0);
+* PIs arrive in epoch 0 (any stage 0..n−1);
 * ordinary consumer:  σ(v) ≥ σ(u) + 1;
 * T1 consumer:        σ(T1) ≥ max(σ(i1)+3, σ(i2)+2, σ(i3)+1)   (eq. 3)
   for its fanins sorted by stage.
@@ -98,7 +98,7 @@ def _move_window(
     stages: Sequence[Optional[int]],
     x: int,
     is_pi: bool,
-    boundary: Optional[int],
+    boundary: int,
     n: int,
 ) -> Tuple[int, int]:
     """Feasible [lb, ub] stage window of cell *x* given its neighbours."""
@@ -112,7 +112,7 @@ def _move_window(
             lb = (max(fins) + 1) if fins else 1  # type: ignore[arg-type]
     ubs = [stages[c] - 1 for c in st.net_consumers[x]]  # type: ignore[operator]
     ubs += [stages[t] - 1 for t in st.t1_consumers[x]]  # type: ignore[operator]
-    ub = min(ubs) if ubs else (boundary if boundary is not None else lb)
+    ub = min(ubs) if ubs else boundary
     if is_pi:
         ub = min(ub, n - 1)
     return lb, ub
@@ -121,8 +121,6 @@ def _move_window(
 def assign_stages_heuristic(
     netlist: SFQNetlist,
     sweeps: int = 4,
-    include_po_balancing: bool = True,
-    free_pi_phases: bool = True,
 ) -> HeuristicReport:
     """ASAP + iterative per-cell improvement; sets ``cell.stage`` in place.
 
@@ -132,15 +130,13 @@ def assign_stages_heuristic(
     being snapshotted once per sweep (the seed implementation's stale
     boundary could misprice moves near the schedule's deep end).
 
-    ``free_pi_phases`` lets a primary input arrive at any phase of epoch 0
-    (stage 0..n−1) instead of pinning it to phase 0 — the environment can
-    deliver each input pulse on whichever clock phase suits the schedule,
-    which is what makes T1 staggering "free" for input-fed cells.
+    A primary input may arrive at any phase of epoch 0 (stage 0..n−1):
+    the environment can deliver each input pulse on whichever clock
+    phase suits the schedule, which is what makes T1 staggering "free"
+    for input-fed cells.
     """
     st = netlist.structure()
-    kernel = StageSchedule(
-        netlist, include_po_balancing=include_po_balancing, structure=st
-    )
+    kernel = StageSchedule(netlist, structure=st)
     n = kernel.n
     stages = kernel.stages  # shared view; mutated only via apply_move
     report = HeuristicReport()
@@ -152,10 +148,9 @@ def assign_stages_heuristic(
         order = st.order if _sweep % 2 == 0 else list(reversed(st.order))
         for x in order:
             is_pi = netlist.cells[x].kind is CellKind.PI
-            if not st.clocked[x] and not (is_pi and free_pi_phases):
+            if not st.clocked[x] and not is_pi:
                 continue
-            boundary = kernel.boundary()
-            lb, ub = _move_window(st, stages, x, is_pi, boundary, n)
+            lb, ub = _move_window(st, stages, x, is_pi, kernel.boundary(), n)
             if ub < lb:
                 continue
             cands = _candidate_stages(st, stages, x, lb, ub, is_pi, n)

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dff_insertion import t1_input_cost
 from repro.errors import TimingError
-from repro.sfq.multiphase import edge_dffs_unchecked
 from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
 
 INF = float("inf")
@@ -150,18 +149,20 @@ def _net_term_cost(
     """Shared-chain DFFs of one net from its consumer-stage extremes.
 
     INF when any consumer is not strictly later than the driver; the PO
-    boundary contributes only when it lies past the driver (matching the
-    seed's `_net_cost`).
+    *boundary* (None for a net that drives no PO) contributes only when
+    it lies past the driver (matching the seed's `_net_cost`).  A gap
+    g >= 1 costs ``(g - 1) // n`` DFFs, as
+    :func:`~repro.sfq.multiphase.edge_dffs` without its gap check.
     """
     worst = 0
     if mx is not None:
         if mn - ds < 1:  # type: ignore[operator]
             return INF
-        worst = edge_dffs_unchecked(mx - ds, n)
+        worst = (mx - ds - 1) // n
     if boundary is not None:
         gap = boundary - ds
         if gap >= 1:
-            w = edge_dffs_unchecked(gap, n)
+            w = (gap - 1) // n
             if w > worst:
                 worst = w
     return float(worst)
@@ -171,16 +172,14 @@ class StageSchedule:
     """Maintained stage vector + per-net / per-T1 cost terms.
 
     Owns ``stages`` (read it freely, mutate only through
-    :meth:`apply_move`), the running total cost, and — when
-    ``include_po_balancing`` — the PO boundary, kept current across
-    every move.
+    :meth:`apply_move`), the running total cost and the PO boundary,
+    kept current across every move.
     """
 
     def __init__(
         self,
         netlist: SFQNetlist,
         *,
-        include_po_balancing: bool = True,
         stages: Optional[Sequence[Optional[int]]] = None,
         structure: Optional[NetlistStructure] = None,
     ):
@@ -188,7 +187,6 @@ class StageSchedule:
         self.netlist = netlist
         self.st = st
         self.n = st.n
-        self.include_po = include_po_balancing
         self.stages: List[Optional[int]] = (
             list(stages) if stages is not None else asap_stages(st)
         )
@@ -216,16 +214,13 @@ class StageSchedule:
             for c, k in mult.items():
                 self._consumed[c][sig] = k
         # stage histogram of the clocked cells -> live PO boundary
-        self._stage_counts: Dict[int, int] = {}
-        self._max_clocked = 0
-        if include_po_balancing:
-            counts = self._stage_counts
-            for i, c in enumerate(cells):
-                s = self.stages[i]
-                if st.clocked[i] and s is not None:
-                    counts[s] = counts.get(s, 0) + 1
-            if counts:
-                self._max_clocked = max(counts)
+        counts: Dict[int, int] = {}
+        for i in range(len(cells)):
+            s = self.stages[i]
+            if st.clocked[i] and s is not None:
+                counts[s] = counts.get(s, 0) + 1
+        self._stage_counts = counts
+        self._max_clocked = max(counts) if counts else 0
         # cost terms and running total
         self._net_cost: Dict[Signal, float] = {}
         self._t1_cost: Dict[int, float] = {}
@@ -281,10 +276,8 @@ class StageSchedule:
         """The maintained schedule cost (always finite)."""
         return self._total
 
-    def boundary(self) -> Optional[int]:
+    def boundary(self) -> int:
         """The live PO-balancing boundary (max clocked stage + 1)."""
-        if not self.include_po:
-            return None
         return self._max_clocked + 1
 
     def _peek_max_clocked(self, s0: int, s: int) -> int:
@@ -328,8 +321,8 @@ class StageSchedule:
         fin = self._total
         b0 = self.boundary()
         b1 = b0
-        if self.include_po and st.clocked[x]:
-            b1 = self._peek_max_clocked(s0, s) + 1  # type: ignore[arg-type]
+        if st.clocked[x]:
+            b1 = self._peek_max_clocked(s0, s) + 1
         po_signals = st.po_signals
         driven = st.signals_of_cell[x]
         consumed = self._consumed[x]
@@ -373,7 +366,7 @@ class StageSchedule:
         # term.  P(b1) − P(b0) covers them all; the nets repriced above
         # already counted their move, so take theirs back out.
         if b1 != b0:
-            fin += self._po_total(b1) - self._po_total(b0)  # type: ignore[arg-type]
+            fin += self._po_total(b1) - self._po_total(b0)
             for sig in driven:
                 if sig in po_signals:
                     bag = bags[sig]
@@ -438,7 +431,7 @@ class StageSchedule:
         st = self.st
         n = self.n
         b0 = self.boundary()
-        if self.include_po and st.clocked[x]:
+        if st.clocked[x]:
             counts = self._stage_counts
             counts[s] = counts.get(s, 0) + 1
             left = counts[s0] - 1  # type: ignore[index]
@@ -517,21 +510,25 @@ class StageSchedule:
 
     # -- verification / finalisation ----------------------------------------
 
+    def _scratch_boundary(self) -> int:
+        """The PO boundary recomputed from the stage vector."""
+        st = self.st
+        stages = self.stages
+        mx = max(
+            (
+                stages[i]
+                for i in range(len(self.netlist.cells))
+                if st.clocked[i] and stages[i] is not None
+            ),
+            default=0,
+        )
+        return mx + 1  # type: ignore[operator]
+
     def recompute_total(self) -> float:
         """From-scratch recomputation of the schedule cost (test oracle)."""
         st = self.st
         stages = self.stages
-        b = None
-        if self.include_po:
-            mx = max(
-                (
-                    stages[i]
-                    for i in range(len(self.netlist.cells))
-                    if st.clocked[i] and stages[i] is not None
-                ),
-                default=0,
-            )
-            b = mx + 1
+        b = self._scratch_boundary()
         total = 0.0
         for sig, cons in st.nets.items():
             cs = [stages[c] for c in cons]
@@ -560,17 +557,9 @@ class StageSchedule:
         st = self.st
         stages = self.stages
         b = self.boundary()
-        if self.include_po:
-            mx = max(
-                (
-                    stages[i]
-                    for i in range(len(self.netlist.cells))
-                    if st.clocked[i] and stages[i] is not None
-                ),
-                default=0,
-            )
-            if b != mx + 1:
-                raise TimingError(f"stale boundary: kept {b}, actual {mx + 1}")
+        actual = self._scratch_boundary()
+        if b != actual:
+            raise TimingError(f"stale boundary: kept {b}, actual {actual}")
         for sig, cons in st.nets.items():
             cs = [stages[c] for c in cons]
             want = _net_term_cost(

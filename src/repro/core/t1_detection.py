@@ -111,6 +111,8 @@ def _t1_area(polarity: int, matches: Sequence[Tuple[int, OutputMatch]],
 
 #: roots one T1 cell can serve: one per output
 MAX_OUTPUTS = len(T1_OUTPUTS)
+#: roots a group needs before a T1 cell may replace it
+MIN_OUTPUTS = 2
 
 #: nodes the matcher never scans: sources, T1 cells, taps
 _SKIP_MATCH_CODES = frozenset(
@@ -122,13 +124,12 @@ def find_candidates(
     net: LogicNetwork,
     library: Optional[CellLibrary] = None,
     cuts_per_node: int = 8,
-    min_outputs: int = 2,
     cut_db: Optional[CutDatabase] = None,
 ) -> List[T1Candidate]:
     """All positive-gain candidate groups (the paper's "found" set).
 
-    A group keeps at most :data:`MAX_OUTPUTS` roots, those with the
-    largest individual MFFC area.
+    A group needs at least :data:`MIN_OUTPUTS` roots and keeps at most
+    :data:`MAX_OUTPUTS`, those with the largest individual MFFC area.
 
     When *cut_db* is omitted the enumeration is shared through
     :func:`~repro.network.cuts.cached_cut_database`: repeated detection
@@ -203,7 +204,7 @@ def find_candidates(
         cone_memo: Dict[Tuple[int, ...], Tuple[Set[int], int]] = {}
         for polarity in range(8):
             matched = per_polarity[polarity]
-            if len(matched) < min_outputs:
+            if len(matched) < MIN_OUTPUTS:
                 continue
             if len(matched) > MAX_OUTPUTS:
                 # keep the most valuable roots (largest individual MFFC)
@@ -308,12 +309,11 @@ def detect_and_replace(
     net: LogicNetwork,
     library: Optional[CellLibrary] = None,
     cuts_per_node: int = 8,
-    min_outputs: int = 2,
 ) -> DetectionResult:
     """Full §II-A pass: find, select, substitute."""
     library = library or default_library()
     candidates = find_candidates(
-        net, library=library, cuts_per_node=cuts_per_node, min_outputs=min_outputs
+        net, library=library, cuts_per_node=cuts_per_node
     )
     selected = select_candidates(candidates)
     new_net, _mapping = apply_candidates(net, selected)

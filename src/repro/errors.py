@@ -45,14 +45,6 @@ class SolverError(ReproError):
     """Base class for optimisation-solver errors."""
 
 
-class InfeasibleError(SolverError):
-    """The model has no feasible solution."""
-
-
-class SolverLimitError(SolverError):
-    """A solver hit its node/conflict/iteration limit before finishing."""
-
-
 class MappingError(ReproError):
     """Technology mapping failed (unsupported gate, missing cell...)."""
 

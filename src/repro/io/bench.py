@@ -7,13 +7,16 @@ The format of the ISCAS-85/89 benchmark distributions::
     y = AND(a, b)
 
 Combinational subset only (no DFF on read).  T1 blocks are expanded
-functionally on write, like the BLIF writer.
+functionally on write, like the BLIF writer.  A referenced constant is
+written as one definition without fanins, ``GND = CONST0()`` or
+``VDD = CONST1()`` (renamed ``GND_1``, ... when a PI or PO already
+holds the name), and read back as the network's constant node.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.errors import GateArityError, ParseError
 from repro.io.resolve import definition_order
@@ -47,6 +50,9 @@ _NAME_BY_GATE = {
     Gate.MAJ3: "MAJ3",
 }
 
+#: definition ops that name a constant node instead of adding a gate
+_CONST_BY_NAME = {"CONST0": CONST0, "CONST1": CONST1}
+
 _LINE_RE = re.compile(
     r"^\s*(?P<out>[\w.\[\]]+)\s*=\s*(?P<op>\w+)\s*\((?P<ins>[^)]*)\)\s*$"
 )
@@ -54,33 +60,37 @@ _LINE_RE = re.compile(
 
 def write_bench(net: LogicNetwork, fh: TextIO) -> None:
     """Write the network in ISCAS .bench syntax (T1 expanded)."""
+    po_names = [n or f"po{i}" for i, n in enumerate(net.po_names)]
+    used = set(net.pos)
+    for node in net.nodes():
+        used.update(net.fanins[node])
+    # gates are written as n<id>, so only a PI or PO name can collide
+    taken = {net.get_name(pi) for pi in net.pis} | set(po_names)
+    const_names: Dict[int, str] = {}
+    const_lines: List[str] = []
+    for op, base in (("CONST0", "GND"), ("CONST1", "VDD")):
+        if _CONST_BY_NAME[op] in used:
+            name, k = base, 0
+            while name in taken:
+                k += 1
+                name = f"{base}_{k}"
+            const_names[_CONST_BY_NAME[op]] = name
+            const_lines.append(f"{name} = {op}()\n")
 
     def name_of(node: int) -> str:
         n = net.get_name(node)
         if n and node in net.pis:
             return n
-        if node == CONST0:
-            return "GND"
-        if node == CONST1:
-            return "VDD"
+        if node in const_names:
+            return const_names[node]
         return f"n{node}"
 
     fh.write(f"# {net.name}\n")
     for pi in net.pis:
         fh.write(f"INPUT({name_of(pi)})\n")
-    po_names = [n or f"po{i}" for i, n in enumerate(net.po_names)]
     for name in po_names:
         fh.write(f"OUTPUT({name})\n")
-
-    used = set()
-    for node in net.nodes():
-        used.update(net.fanins[node])
-    used.update(net.pos)
-    if CONST0 in used or CONST1 in used:
-        raise ParseError(
-            "networks with constant references cannot be written to .bench; "
-            "run strash() first"
-        )
+    fh.writelines(const_lines)
 
     for node in topological_order(net):
         g = net.gates[node]
@@ -125,7 +135,8 @@ def read_bench(fh: TextIO) -> LogicNetwork:
     net = LogicNetwork("bench")
     inputs: List[Tuple[int, str]] = []
     defs: List[Tuple[int, str, List[str]]] = []
-    gates: List[Gate] = []
+    gates: List[Optional[Gate]] = []
+    consts: Dict[int, int] = {}  # definition index -> CONST0 / CONST1
     outputs: List[str] = []
 
     for lineno, raw in enumerate(fh, start=1):
@@ -145,10 +156,16 @@ def read_bench(fh: TextIO) -> LogicNetwork:
         op = m.group("op").upper()
         if op == "DFF":
             raise ParseError("sequential .bench not supported", lineno)
-        gate = _GATE_BY_NAME.get(op)
-        if gate is None:
-            raise ParseError(f"unknown gate {op!r}", lineno)
         ins = [t.strip() for t in m.group("ins").split(",") if t.strip()]
+        if op in _CONST_BY_NAME:
+            if ins:
+                raise ParseError(f"{op} takes no fanins", lineno)
+            consts[len(defs)] = _CONST_BY_NAME[op]
+            gate = None  # the definition names a constant node, not a gate
+        else:
+            gate = _GATE_BY_NAME.get(op)
+            if gate is None:
+                raise ParseError(f"unknown gate {op!r}", lineno)
         defs.append((lineno, m.group("out"), ins))
         gates.append(gate)
 
@@ -156,14 +173,20 @@ def read_bench(fh: TextIO) -> LogicNetwork:
     signals: Dict[str, int] = {name: net.add_pi(name) for _l, name in inputs}
     # one bulk append in dependency order: a gate's id is its batch slot
     base = net.num_nodes()
-    for slot, i in enumerate(order):
-        signals[defs[i][1]] = base + slot
+    batch: List[int] = []
+    for i in order:
+        const = consts.get(i)
+        if const is None:
+            signals[defs[i][1]] = base + len(batch)
+            batch.append(i)
+        else:
+            signals[defs[i][1]] = const
     try:
         net.add_gates_bulk(
-            [(gates[i], [signals[name] for name in defs[i][2]]) for i in order]
+            [(gates[i], [signals[name] for name in defs[i][2]]) for i in batch]
         )
     except GateArityError as exc:  # the batch is atomic: find the line
-        for i in order:
+        for i in batch:
             try:
                 check_arity(gates[i], len(defs[i][2]))
             except GateArityError as bad:

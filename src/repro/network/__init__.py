@@ -30,7 +30,6 @@ from repro.network.simulation import (
     eval_int,
     exhaustive_pi_patterns,
     exhaustive_pi_patterns_chunk,
-    node_function_on_leaves,
     random_patterns,
     simulate,
     simulate_exhaustive,
@@ -119,7 +118,6 @@ __all__ = [
     "maj3_tt",
     "match_against",
     "mffc",
-    "node_function_on_leaves",
     "npn_canon",
     "npn_equivalent",
     "or3_tt",

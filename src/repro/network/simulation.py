@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.network.gates import (
     CODE_BY_GATE,
     GATES_BY_CODE,
     Gate,
-    eval_gate,
     is_t1_tap,
 )
 from repro.network.logic_network import LogicNetwork
@@ -437,71 +436,3 @@ def eval_int(
         row = list(assignment)
     bits = simulate_words(net, [row])[0]
     return {po: bits[i] for i, po in enumerate(net.pos)}
-
-
-def node_function_on_leaves(
-    net: LogicNetwork,
-    root: int,
-    leaves: Sequence[int],
-    values_cache: Optional[Dict[int, int]] = None,
-) -> TruthTable:
-    """Truth table of *root* as a function of the given *leaves*.
-
-    Simulates the cone between the leaves and the root; the cone must not
-    reach a source node (PI/const) that is not listed as a leaf — constants
-    are fine and keep their value.
-    """
-    k = len(leaves)
-    width = 1 << k
-    mask = (1 << width) - 1
-    values: Dict[int, int] = {} if values_cache is None else values_cache
-    patterns = exhaustive_pi_patterns(k)
-    for i, leaf in enumerate(leaves):
-        values[leaf] = patterns[i]
-    values[0] = 0
-    values[1] = mask
-
-    gates = net.gates
-    fanins = net.fanins
-
-    def value_of(u: int) -> int:
-        if u in values:
-            return values[u]
-        g = gates[u]
-        if g is Gate.PI:
-            raise SimulationError(
-                f"cone of node {root} escapes leaves {tuple(leaves)} at PI {u}"
-            )
-        if is_t1_tap(g):
-            cell = fanins[u][0]
-            fins = fanins[cell]
-        else:
-            fins = fanins[u]
-        # iterative DFS to avoid recursion limits on deep cones
-        stack = [(u, g, fins, 0)]
-        while stack:
-            node, gate, nf, idx = stack[-1]
-            advanced = False
-            for j in range(idx, len(nf)):
-                f = nf[j]
-                if f not in values:
-                    fg = gates[f]
-                    if fg is Gate.PI:
-                        raise SimulationError(
-                            f"cone of node {root} escapes leaves at PI {f}"
-                        )
-                    if is_t1_tap(fg):
-                        stack[-1] = (node, gate, nf, j)
-                        stack.append((f, fg, fanins[fanins[f][0]], 0))
-                    else:
-                        stack[-1] = (node, gate, nf, j)
-                        stack.append((f, fg, fanins[f], 0))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            values[node] = eval_gate(gate, [values[f] for f in nf], mask)
-            stack.pop()
-        return values[u]
-
-    return TruthTable(value_of(root) & mask, k)

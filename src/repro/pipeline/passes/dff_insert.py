@@ -17,7 +17,6 @@ class DffInsertPass:
     paper's per-edge counting); the default shares one chain per net.
     """
 
-    balance_pos: bool = True
     share_chains: bool = True
     name: str = "dff_insert"
 
@@ -26,18 +25,17 @@ class DffInsertPass:
             raise PipelineError(
                 "dff_insert needs a mapped netlist — run 'map_to_sfq' first"
             )
-        ctx.insertion = insert_dffs(
-            ctx.netlist,
-            balance_pos=self.balance_pos,
-            share_chains=self.share_chains,
-        )
+        ctx.insertion = insert_dffs(ctx.netlist, share_chains=self.share_chains)
         ctx.log(f"dff_insert: {ctx.insertion.total} DFFs")
         return ctx
 
 
 @dataclass
 class SplitterPass:
-    """Materialise explicit splitter trees (optional, after insertion)."""
+    """Materialise explicit splitter trees (optional, after insertion).
+
+    Add it with ``pipe.with_pass(SplitterPass(), after="dff_insert")``.
+    """
 
     name: str = "materialize_splitters"
 

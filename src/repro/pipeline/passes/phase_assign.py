@@ -19,8 +19,6 @@ class PhaseAssignPass:
     """
 
     sweeps: int = 4
-    balance_pos: bool = True
-    free_pi_phases: bool = True
     name: str = "phase_assign"
 
     def run(self, ctx: FlowContext) -> FlowContext:
@@ -28,12 +26,7 @@ class PhaseAssignPass:
             raise PipelineError(
                 "phase_assign needs a mapped netlist — run 'map_to_sfq' first"
             )
-        report = assign_stages_heuristic(
-            ctx.netlist,
-            sweeps=self.sweeps,
-            include_po_balancing=self.balance_pos,
-            free_pi_phases=self.free_pi_phases,
-        )
+        report = assign_stages_heuristic(ctx.netlist, sweeps=self.sweeps)
         ctx.log(
             f"phase_assign: sweeps_run={report.sweeps_run} "
             f"moves_evaluated={report.moves_evaluated} "

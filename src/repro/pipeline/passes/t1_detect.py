@@ -20,7 +20,6 @@ class T1DetectPass:
     """
 
     cuts_per_node: int = 8
-    min_outputs: int = 2
     name: str = "t1_detect"
 
     def run(self, ctx: FlowContext) -> FlowContext:
@@ -28,7 +27,6 @@ class T1DetectPass:
             ctx.network,
             library=ctx.library,
             cuts_per_node=self.cuts_per_node,
-            min_outputs=self.min_outputs,
         )
         if ctx.verify in ("cec", "full"):
             res = check_equivalence(ctx.network, detection.network,

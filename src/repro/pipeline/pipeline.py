@@ -32,7 +32,6 @@ from repro.pipeline.passes import (
     DffInsertPass,
     MapPass,
     PhaseAssignPass,
-    SplitterPass,
     T1DetectPass,
     VerifyMetricsPass,
 )
@@ -87,21 +86,19 @@ class Pipeline:
         n_phases: int = 4,
         use_t1: bool = True,
         *,
-        balance_pos: bool = True,
         share_chains: bool = True,
-        free_pi_phases: bool = True,
-        materialize_splitters: bool = False,
         balance_network: bool = False,
         sweeps: int = 4,
         cuts_per_node: int = 8,
-        t1_min_outputs: int = 2,
         verify: str = "cec",
         library: Optional[CellLibrary] = None,
     ) -> "Pipeline":
         """The paper's flow as a pipeline: the one way to run it.
 
         The baselines are ``standard(n_phases=1, use_t1=False)`` and
-        ``standard(n_phases=4, use_t1=False)``.
+        ``standard(n_phases=4, use_t1=False)``.  Optional extras go in
+        through the builder, e.g. explicit splitter trees with
+        ``.with_pass(SplitterPass(), after="dff_insert")``.
         """
         if n_phases < 1:
             raise PipelineError(f"n_phases must be >= 1, got {n_phases}")
@@ -116,24 +113,10 @@ class Pipeline:
         if balance_network:
             passes.append(BalancePass())
         if use_t1:
-            passes.append(
-                T1DetectPass(
-                    cuts_per_node=cuts_per_node, min_outputs=t1_min_outputs
-                )
-            )
+            passes.append(T1DetectPass(cuts_per_node=cuts_per_node))
         passes.append(MapPass(n_phases=n_phases))
-        passes.append(
-            PhaseAssignPass(
-                sweeps=sweeps,
-                balance_pos=balance_pos,
-                free_pi_phases=free_pi_phases,
-            )
-        )
-        passes.append(
-            DffInsertPass(balance_pos=balance_pos, share_chains=share_chains)
-        )
-        if materialize_splitters:
-            passes.append(SplitterPass())
+        passes.append(PhaseAssignPass(sweeps=sweeps))
+        passes.append(DffInsertPass(share_chains=share_chains))
         passes.append(VerifyMetricsPass())
         return cls(passes, verify=verify, library=library)
 

@@ -51,14 +51,10 @@ REPORT_SCHEMA = "repro-flow-report/v1"
 PIPELINE_DEFAULTS: Dict[str, Any] = {
     "n_phases": 4,
     "use_t1": True,
-    "balance_pos": True,
     "share_chains": True,
-    "free_pi_phases": True,
-    "materialize_splitters": False,
     "balance_network": False,
     "sweeps": 4,
     "cuts_per_node": 8,
-    "t1_min_outputs": 2,
     "verify": "cec",
 }
 

@@ -11,13 +11,10 @@ from repro.sfq.cell_library import (
 )
 from repro.sfq.mapping import decompose_to_library, map_to_sfq
 from repro.sfq.multiphase import (
-    chain_stages,
     depth_cycles,
     edge_dffs,
     epoch_of,
-    net_dffs,
     phase_of,
-    source_stage_for,
     stage_of,
 )
 from repro.sfq.energy import EnergyModel, EnergyReport, estimate_energy
@@ -63,7 +60,6 @@ __all__ = [
     "T1_SPEC",
     "TimingReport",
     "assert_timing",
-    "chain_stages",
     "check_timing",
     "conventional_full_adder_area",
     "decompose_to_library",
@@ -73,10 +69,8 @@ __all__ = [
     "epoch_of",
     "full_adder_cycle",
     "map_to_sfq",
-    "net_dffs",
     "phase_of",
     "simulate_pulse_train",
-    "source_stage_for",
     "stage_of",
     "stream_compare",
     "waveform_ascii",

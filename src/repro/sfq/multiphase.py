@@ -10,13 +10,14 @@ cycle at its phase.  A pulse produced by a driver at stage σ_d must be
 consumed within n stages, otherwise the *next* wave's pulse catches up —
 hence a producer→consumer stage gap g needs ⌈g/n⌉ − 1 path-balancing DFFs
 (evenly reachable chain positions σ_d + n, σ_d + 2n, ...).  With n = 1
-this degenerates to the classical g − 1 full path balancing.
+this degenerates to the classical g − 1 full path balancing.  A net's
+shared chain and its consumers' taps are placed by
+:func:`repro.core.dff_insertion.insert_dffs`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
 
 from repro.errors import TimingError
 
@@ -48,60 +49,3 @@ def edge_dffs(gap: int, n_phases: int) -> int:
     if gap < 1:
         raise TimingError(f"stage gap must be >= 1, got {gap}")
     return (gap - 1) // n_phases
-
-
-def edge_dffs_unchecked(gap: int, n_phases: int) -> int:
-    """`edge_dffs` without the gap validation, for hot loops.
-
-    ``(gap - 1) // n == ceil(gap / n) - 1`` for every gap >= 1; the caller
-    must have established feasibility (gap >= 1) already.
-    """
-    return (gap - 1) // n_phases
-
-
-def net_dffs(gaps: Sequence[int], n_phases: int) -> int:
-    """DFFs for one net whose fanout edges have the given gaps.
-
-    The chain is shared: DFFs sit at σ_d + n, σ_d + 2n, ...; every
-    consumer taps the latest chain element within n stages, so the net
-    cost is the maximum edge cost.
-    """
-    if not gaps:
-        return 0
-    return max(edge_dffs(g, n_phases) for g in gaps)
-
-
-def chain_stages(driver_stage: int, longest_gap: int, n_phases: int) -> List[int]:
-    """Stages of the shared DFF chain serving a net.
-
-    Chain element j sits at σ_d + (j+1)·n; the chain is long enough that
-    the farthest consumer (at σ_d + longest_gap) still has a source within
-    n stages.
-    """
-    count = net_dffs([longest_gap], n_phases) if longest_gap >= 1 else 0
-    return [driver_stage + (j + 1) * n_phases for j in range(count)]
-
-
-def source_stage_for(
-    driver_stage: int, chain: Sequence[int], consumer_stage: int, n_phases: int
-) -> int:
-    """Stage of the element (driver or chain DFF) feeding a consumer.
-
-    Picks the latest element whose stage is strictly below the consumer's;
-    raises when even the last chain element is more than n stages away.
-    """
-    candidates = [driver_stage] + [s for s in chain if s < consumer_stage]
-    src = max(candidates)
-    if consumer_stage - src > n_phases:
-        raise TimingError(
-            f"no chain element within {n_phases} stages of consumer at "
-            f"{consumer_stage} (closest: {src})"
-        )
-    if consumer_stage <= src:
-        raise TimingError("consumer not after its source")
-    return src
-
-
-def validate_stage(stage: int) -> None:
-    if stage < 0:
-        raise TimingError(f"negative stage {stage}")

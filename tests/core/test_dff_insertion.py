@@ -157,23 +157,6 @@ class TestNetChains:
             counts[share] = nl.num_dffs()
         assert counts[True] <= counts[False]
 
-    def test_po_balancing_optional(self):
-        net = LogicNetwork()
-        a, b = net.add_pi(), net.add_pi()
-        deep = net.add_not(net.add_not(net.add_not(a)))
-        net.add_po(deep, "deep")
-        net.add_po(net.add_not(b), "shallow")
-        nl, _ = map_to_sfq(net, n_phases=1)
-        assign_stages_heuristic(nl)
-        insert_dffs(nl, balance_pos=True)
-        with_balance = nl.num_dffs()
-
-        nl2, _ = map_to_sfq(net, n_phases=1)
-        assign_stages_heuristic(nl2, include_po_balancing=False)
-        insert_dffs(nl2, balance_pos=False)
-        without = nl2.num_dffs()
-        assert with_balance > without
-
     def test_report_categories(self):
         from repro.circuits import ripple_carry_adder
 

@@ -94,15 +94,9 @@ class TestHeuristic:
 
     def test_free_pi_phases_do_not_exceed_epoch0(self):
         nl, _ = map_to_sfq(t1_net(), n_phases=4)
-        assign_stages_heuristic(nl, free_pi_phases=True)
+        assign_stages_heuristic(nl)
         for pi in nl.pis:
             assert 0 <= nl.cells[pi].stage <= 3
-
-    def test_pinned_pi_phases(self):
-        nl, _ = map_to_sfq(t1_net(), n_phases=4)
-        assign_stages_heuristic(nl, free_pi_phases=False)
-        for pi in nl.pis:
-            assert nl.cells[pi].stage == 0
 
 
 class TestHeuristicVsOptimum:

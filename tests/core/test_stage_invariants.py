@@ -85,7 +85,7 @@ def test_i2_chain_minimality(seed, n):
     expected = sum(
         max(edge_dffs(g, n) for g in glist) for glist in gaps.values()
     )
-    report = insert_dffs(nl, balance_pos=False)
+    report = insert_dffs(nl)
     assert report.path_dffs == expected, (seed, n)
 
 

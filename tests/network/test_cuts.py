@@ -8,9 +8,9 @@ from repro.network import (
     TruthTable,
     enumerate_cuts,
     maj3_tt,
-    node_function_on_leaves,
     xor3_tt,
 )
+from oracles.simulation import node_function_on_leaves
 
 
 def full_adder_net():

@@ -110,7 +110,8 @@ class TestStrashProperties:
 
 class TestWiderCuts:
     def test_k4_cut_tables(self):
-        from repro.network import enumerate_cuts, node_function_on_leaves
+        from oracles.simulation import node_function_on_leaves
+        from repro.network import enumerate_cuts
 
         net = LogicNetwork()
         pis = [net.add_pi() for _ in range(4)]

@@ -10,7 +10,6 @@ from repro.network import (
     LogicNetwork,
     TruthTable,
     eval_int,
-    node_function_on_leaves,
     simulate_exhaustive,
     simulate_pos,
     simulate_words,
@@ -18,6 +17,7 @@ from repro.network import (
     or3_tt,
     xor3_tt,
 )
+from oracles.simulation import node_function_on_leaves
 
 
 def full_adder_net():

@@ -20,7 +20,15 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InfeasibleError, SolverError, SolverLimitError
+from repro.errors import SolverError
+
+
+class InfeasibleError(SolverError):
+    """The model has no feasible solution."""
+
+
+class SolverLimitError(SolverError):
+    """The search hit its node limit before finishing."""
 
 
 @dataclasses.dataclass(frozen=True)

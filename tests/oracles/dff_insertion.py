@@ -2,9 +2,9 @@
 
 from typing import Sequence
 
-from oracles.cpsat import CpModel
+from oracles.cpsat import CpModel, InfeasibleError
 from repro.core.dff_insertion import T1InputPlan
-from repro.errors import InfeasibleError, TimingError
+from repro.errors import TimingError
 
 
 def build_t1_input_model(t1_stage: int, fanin_stages: Sequence[int], n: int):

@@ -36,8 +36,6 @@ def _net_cost(
 def assign_stages_rescan_reference(
     netlist: SFQNetlist,
     sweeps: int = 4,
-    include_po_balancing: bool = True,
-    free_pi_phases: bool = True,
 ) -> HeuristicReport:
     """The seed scan-and-rebuild heuristic.
 
@@ -55,16 +53,14 @@ def assign_stages_rescan_reference(
     nl = netlist.cells
     report = HeuristicReport()
 
-    def po_boundary() -> Optional[int]:
-        if not include_po_balancing:
-            return None
+    def po_boundary() -> int:
         mx = max(
             (stages[i] for i in range(len(nl)) if st.clocked[i] and stages[i] is not None),
             default=0,
         )
         return mx + 1
 
-    def local_cost(x: int, boundary: Optional[int]) -> float:
+    def local_cost(x: int, boundary: int) -> float:
         """Cost of every net/T1 term affected by cell x's stage."""
         total = 0.0
         affected_signals: Set[Signal] = set(st.signals_of_cell[x])
@@ -98,7 +94,7 @@ def assign_stages_rescan_reference(
         order = st.order if _sweep % 2 == 0 else list(reversed(st.order))
         for x in order:
             is_pi = netlist.cells[x].kind is CellKind.PI
-            if not st.clocked[x] and not (is_pi and free_pi_phases):
+            if not st.clocked[x] and not is_pi:
                 continue
             lb, ub = _move_window(st, stages, x, is_pi, boundary, n)
             if ub < lb:
@@ -126,10 +122,5 @@ def assign_stages_rescan_reference(
     for cell in netlist.cells:
         if cell.clocked or cell.kind is CellKind.PI:
             cell.stage = stages[cell.index]
-    report.final_cost = StageSchedule(
-        netlist,
-        include_po_balancing=include_po_balancing,
-        stages=stages,
-        structure=st,
-    ).total()
+    report.final_cost = StageSchedule(netlist, stages=stages, structure=st).total()
     return report

@@ -31,9 +31,11 @@ class TestComposition:
         assert names == [n for n in STANDARD_NAMES if n != "t1_detect"]
 
     def test_standard_optional_passes(self):
-        names = Pipeline.standard(
-            balance_network=True, materialize_splitters=True
-        ).names()
+        names = (
+            Pipeline.standard(balance_network=True)
+            .with_pass(SplitterPass(), after="dff_insert")
+            .names()
+        )
         assert names.index("balance") == names.index("decompose") + 1
         assert names.index("materialize_splitters") == (
             names.index("dff_insert") + 1
@@ -111,9 +113,11 @@ class TestComposition:
         assert pipe.hooks == ()
 
     def test_passes_satisfy_protocol(self):
-        for p in Pipeline.standard(
-            balance_network=True, materialize_splitters=True
-        ).passes:
+        for p in (
+            Pipeline.standard(balance_network=True)
+            .with_pass(SplitterPass(), after="dff_insert")
+            .passes
+        ):
             assert isinstance(p, Pass)
 
     def test_custom_pass_object(self):
@@ -180,9 +184,11 @@ class TestExecution:
         assert net.num_gates() == gates_before
 
     def test_splitter_pass_materializes(self):
-        ctx = Pipeline.standard(
-            use_t1=False, verify="none", materialize_splitters=True
-        ).run(ripple_carry_adder(4))
+        ctx = (
+            Pipeline.standard(use_t1=False, verify="none")
+            .with_pass(SplitterPass(), after="dff_insert")
+            .run(ripple_carry_adder(4))
+        )
         assert ctx.metrics.area_jj > 0
 
 

@@ -17,7 +17,13 @@ import pytest
 
 from repro.circuits import build
 from repro.network.gates import Gate
-from repro.pipeline import Pipeline, RefactorPass, baseline_pipelines, run_many
+from repro.pipeline import (
+    Pipeline,
+    RefactorPass,
+    SplitterPass,
+    baseline_pipelines,
+    run_many,
+)
 from repro.pipeline.batch import BASELINE_LABELS
 from repro.pipeline.passes import decompose as decompose_module
 from repro.sfq.cell_library import CellLibrary, CellSpec, default_library
@@ -224,10 +230,10 @@ def test_no_pass_mutates_its_input(n_phases, use_t1, rewrites):
         n_phases=n_phases,
         use_t1=use_t1,
         balance_network=rewrites,
-        materialize_splitters=rewrites,
     )
     if rewrites:
         pipe = pipe.with_pass(RefactorPass(), after="balance")
+        pipe = pipe.with_pass(SplitterPass(), after="dff_insert")
     net = build("adder", "ci")
     source_hash = net.structural_hash()
     seen = {}

@@ -37,8 +37,12 @@ class TestNormalizeConfig:
             normalize_config({"phazes": 4})
 
     def test_removed_phase_method_key_rejected(self):
-        with pytest.raises(ServiceError, match="unknown config key"):
-            normalize_config({"phase_method": "heuristic"})
+        removed = ("phase_method", "balance_pos", "free_pi_phases",
+                   "materialize_splitters", "t1_min_outputs")
+        for key in removed:
+            assert key not in PIPELINE_DEFAULTS
+            with pytest.raises(ServiceError, match="unknown config key"):
+                normalize_config({key: True})
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ServiceError, match="expects int"):

@@ -2,20 +2,18 @@
 
 import pytest
 
+from repro.core.dff_insertion import insert_dffs, net_chain_length
 from repro.errors import MappingError, NetworkError, TimingError
 from repro.network import Gate
 from repro.sfq import (
     CellKind,
     SFQNetlist,
-    chain_stages,
     conventional_full_adder_area,
     default_library,
     depth_cycles,
     edge_dffs,
     epoch_of,
-    net_dffs,
     phase_of,
-    source_stage_for,
     stage_of,
 )
 
@@ -82,18 +80,33 @@ class TestMultiphaseAlgebra:
             assert edge_dffs(gap, 1) == gap - 1
 
     def test_net_dffs_is_max_not_sum(self):
-        assert net_dffs([9, 5, 2], 4) == 2
+        assert net_chain_length([9, 5, 2], 4) == 2
 
     def test_chain_and_sources(self):
-        chain = chain_stages(driver_stage=0, longest_gap=9, n_phases=4)
-        assert chain == [4, 8]
-        assert source_stage_for(0, chain, 9, 4) == 8
-        assert source_stage_for(0, chain, 5, 4) == 4
-        assert source_stage_for(0, chain, 3, 4) == 0
-
-    def test_source_too_far_raises(self):
-        with pytest.raises(TimingError):
-            source_stage_for(0, [], 6, 4)
+        # one net driven at stage 0 with consumers at 9, 5 and 3 (n = 4):
+        # one shared chain at 4 and 8, each consumer tapping the latest
+        # element below it
+        nl = SFQNetlist("t", n_phases=4)
+        a = nl.add_pi("a")
+        nl.cells[a].stage = 0
+        consumers = {}
+        for s in (9, 5, 3):
+            g = nl.add_gate(Gate.NOT, [(a, "out")])
+            nl.cells[g].stage = s
+            nl.add_po((g, "out"))
+            consumers[s] = g
+        insert_dffs(nl)
+        source = {
+            s: nl.driver_cell(nl.cells[g].fanins[0]) for s, g in consumers.items()
+        }
+        assert {s: c.stage for s, c in source.items()} == {9: 8, 5: 4, 3: 0}
+        chain = []
+        cell = source[9]
+        while cell.kind is CellKind.DFF:
+            chain.append(cell.stage)
+            cell = nl.driver_cell(cell.fanins[0])
+        assert cell.index == a
+        assert sorted(chain) == [4, 8]
 
 
 class TestNetlist:

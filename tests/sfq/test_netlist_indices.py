@@ -129,12 +129,13 @@ class TestEpochCaching:
 
     def test_flow_keeps_indices_consistent(self):
         from repro.circuits import build
-        from repro.pipeline import Pipeline
+        from repro.pipeline import Pipeline, SplitterPass
 
-        ctx = Pipeline.standard(
-            n_phases=4, use_t1=True, verify="none",
-            materialize_splitters=True,
-        ).run(build("c6288", "ci"))
+        ctx = (
+            Pipeline.standard(n_phases=4, use_t1=True, verify="none")
+            .with_pass(SplitterPass(), after="dff_insert")
+            .run(build("c6288", "ci"))
+        )
         ctx.netlist.check_indices()
         assert any(
             c.kind is CellKind.SPLITTER for c in ctx.netlist.cells

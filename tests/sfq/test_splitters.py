@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuits import ripple_carry_adder
 from repro.errors import NetworkError
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, SplitterPass
 from repro.metrics import area_jj, measure
 from repro.network import Gate
 from repro.network.simulation import simulate_words
@@ -104,18 +104,22 @@ class TestMaterialise:
 class TestFlowIntegration:
     def test_flow_option(self):
         net = ripple_carry_adder(5)
-        res = Pipeline.standard(
-            n_phases=4, use_t1=True, verify="none", materialize_splitters=True
-        ).run(net)
+        res = (
+            Pipeline.standard(n_phases=4, use_t1=True, verify="none")
+            .with_pass(SplitterPass(), after="dff_insert")
+            .run(net)
+        )
         assert splitter_count(res.netlist) == res.metrics.num_splitters
         assert check_timing(res.netlist).ok
 
     def test_metrics_identical_with_and_without(self):
         net = ripple_carry_adder(5)
         plain = Pipeline.standard(verify="none").run(net)
-        phys = Pipeline.standard(
-            verify="none", materialize_splitters=True
-        ).run(net)
+        phys = (
+            Pipeline.standard(verify="none")
+            .with_pass(SplitterPass(), after="dff_insert")
+            .run(net)
+        )
         assert plain.area_jj == phys.area_jj
         assert plain.num_dffs == phys.num_dffs
         assert plain.metrics.num_splitters == phys.metrics.num_splitters

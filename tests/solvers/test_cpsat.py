@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.errors import InfeasibleError, SolverError
-from oracles.cpsat import CpModel
+from oracles.cpsat import CpModel, InfeasibleError
+from repro.errors import SolverError
 
 
 def test_simple_linear():

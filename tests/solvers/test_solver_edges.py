@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.errors import (
-    InfeasibleError,
-    SolverError,
-    SolverLimitError,
-)
-from oracles.cpsat import CpModel
+from oracles.cpsat import CpModel, InfeasibleError, SolverLimitError
+from repro.errors import SolverError
 
 
 class TestCpEdges:

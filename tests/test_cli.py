@@ -101,6 +101,14 @@ def test_user_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_removed_po_balance_flag_exits_2(capsys):
+    # PO balancing is part of the one flow convention, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "adder", "--preset", "ci", "--no-po-balance"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-po-balance" in capsys.readouterr().err
+
+
 def test_parser_has_all_commands():
     parser = make_parser()
     text = parser.format_help()

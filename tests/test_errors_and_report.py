@@ -33,7 +33,9 @@ class TestErrorHierarchy:
         assert issubclass(errors.HazardError, errors.TimingError)
 
     def test_solver_family(self):
-        for cls in (errors.InfeasibleError, errors.SolverLimitError):
+        from oracles.cpsat import InfeasibleError, SolverLimitError
+
+        for cls in (InfeasibleError, SolverLimitError):
             assert issubclass(cls, errors.SolverError)
 
 

@@ -85,7 +85,13 @@ def _import_roots(path: Path):
 
 
 #: test oracles are never shipped (they live in tests/oracles)
-ORACLE_NAMES = {"simulate_nodewise", "plan_t1_inputs_cp"}
+ORACLE_NAMES = {
+    "simulate_nodewise",
+    "plan_t1_inputs_cp",
+    "node_function_on_leaves",
+    "InfeasibleError",
+    "SolverLimitError",
+}
 ORACLE_SUFFIXES = ("_reference", "_enum")
 #: the bit-exact software models of generated circuits are public API
 #: (examples/fir_streaming.py checks a circuit against one), not oracles
