@@ -59,7 +59,7 @@ from repro.pipeline.context import FlowContext
 #: datapath sizes (nodes) of the scale section; the full run adds 20k
 SCALE_NODES_QUICK = (2_000, 4_000, 8_000)
 SCALE_NODES_FULL = SCALE_NODES_QUICK + (20_000,)
-#: ceiling on _net_term_cost calls per probe (3.2-3.4 measured;
+#: ceiling on _net_term_cost calls per probe (3.3-3.5 measured;
 #: repricing every PO net on a boundary shift made it 21-26)
 RATCHET_CALLS_PER_PROBE = 5.0
 

@@ -20,10 +20,10 @@ Constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.schedule import StageSchedule, t1_lower_bound
-from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist
+from repro.sfq.netlist import NetlistStructure, SFQNetlist
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,109 @@ def _move_window(
     return lb, ub
 
 
+def _boundary_readers(st: NetlistStructure, movable: Sequence[bool]) -> List[int]:
+    """Movable cells whose visit reads global schedule state.
+
+    A cell with no consumer has the live boundary as its window's upper
+    end, and a cell that drives or consumes a PO net prices that net
+    against the boundary (and, on a boundary shift, against ``P(b)``).
+    Any other movable cell sits below a clocked consumer, so none of its
+    probes can shift the boundary: its visit reads only its neighbours.
+    """
+    readers: Set[int] = set()
+    for sig in st.po_signals:
+        readers.add(sig[0])
+        readers.update(st.nets[sig])
+    for x, (cons, t1s) in enumerate(zip(st.net_consumers, st.t1_consumers)):
+        if not cons and not t1s:
+            readers.add(x)
+    return sorted(x for x in readers if movable[x])
+
+
+def _mark_around(st: NetlistStructure, y: int, dirty: List[bool]) -> None:
+    """Mark every cell whose visit reads a value a move of *y* changed.
+
+    That is y, its fanin drivers, its net and T1 consumers, the
+    co-consumers of every net y consumes and the co-fanins of every T1
+    y feeds.
+    """
+    dirty[y] = True
+    for d in st.fanin_drivers[y]:
+        dirty[d] = True
+    for c in st.net_consumers[y]:
+        dirty[c] = True
+    for t in st.t1_consumers[y]:
+        dirty[t] = True
+        for d in st.fanin_drivers[t]:
+            dirty[d] = True
+    if not st.is_t1[y]:
+        for sig in st.fanin_signals[y]:
+            for c in st.nets[sig]:
+                dirty[c] = True
+
+
+def _best_stage(kernel: StageSchedule, x: int, is_pi: bool) -> int:
+    """One visit of cell *x*: the candidate stage priced cheapest.
+
+    Candidates are probed in ascending order and only a strict
+    improvement replaces the best so far, so ties keep the lower stage
+    and x's own stage wins when nothing improves.  Returns x's stage
+    unprobed when its window is pinned (``lb == ub``).
+    """
+    st = kernel.st
+    stages = kernel.stages
+    n = kernel.n
+    current = stages[x]
+    lb, ub = _move_window(st, stages, x, is_pi, kernel.boundary(), n)
+    if ub <= lb:  # pinned (or no feasible window)
+        return current  # type: ignore[return-value]
+    best_stage = current
+    best_cost = kernel.total()
+    for cand in sorted(_candidate_stages(st, stages, x, lb, ub, is_pi, n)):
+        if cand == current:
+            continue
+        cost = kernel.cost_if_moved(x, cand)
+        if cost < best_cost - 1e-9:
+            best_cost = cost
+            best_stage = cand
+    return best_stage  # type: ignore[return-value]
+
+
+def _dirty_sweeps(kernel: StageSchedule, pis: Sequence[int], sweeps: int) -> int:
+    """Run up to *sweeps* dirty sweeps on *kernel*; returns the count run.
+
+    Sweeps alternate between the topological order and its reverse and
+    stop after the first sweep that applies no move.  *pis* are the
+    primary-input cells.
+    """
+    st = kernel.st
+    stages = kernel.stages  # shared view; mutated only via apply_move
+    is_pi = [False] * len(st.clocked)
+    for p in pis:
+        is_pi[p] = True
+    movable = [c or p for c, p in zip(st.clocked, is_pi)]
+    boundary_readers = _boundary_readers(st, movable)
+    dirty = movable  # every movable cell is visited in the first sweep
+    orders = (st.order, st.order[::-1])
+    for sweep in range(sweeps):
+        improved = False
+        for x in orders[sweep % 2]:
+            if not dirty[x]:
+                continue
+            dirty[x] = False
+            current = stages[x]
+            best_stage = _best_stage(kernel, x, is_pi[x])
+            if best_stage != current:
+                kernel.apply_move(x, best_stage)
+                improved = True
+                _mark_around(st, x, dirty)
+                for c in boundary_readers:
+                    dirty[c] = True
+        if not improved:
+            return sweep + 1
+    return sweeps
+
+
 def assign_stages_heuristic(
     netlist: SFQNetlist,
     sweeps: int = 4,
@@ -130,46 +233,26 @@ def assign_stages_heuristic(
     being snapshotted once per sweep (the seed implementation's stale
     boundary could misprice moves near the schedule's deep end).
 
+    **Dirty sweeps.** The first sweep visits every movable cell.  After
+    that a cell is visited only when something its visit reads changed
+    since its last visit: an applied move marks the cells around the
+    moved one (:func:`_mark_around`) and every boundary reader
+    (:func:`_boundary_readers`).  An unmarked cell would re-derive the
+    same "no move", so skipping it keeps the visit order, the candidate
+    order and the tie-break — and so the stage vector, ``moves_applied``
+    and ``sweeps_run`` — exactly those of full sweeps.  Pinned cells
+    (``lb == ub``) are skipped before any candidate is generated.
+    ``moves_evaluated`` counts the probes the dirty sweeps actually
+    price, fewer than full sweeps would.
+
     A primary input may arrive at any phase of epoch 0 (stage 0..n−1):
     the environment can deliver each input pulse on whichever clock
     phase suits the schedule, which is what makes T1 staggering "free"
     for input-fed cells.
     """
-    st = netlist.structure()
-    kernel = StageSchedule(netlist, structure=st)
-    n = kernel.n
-    stages = kernel.stages  # shared view; mutated only via apply_move
+    kernel = StageSchedule(netlist)
     report = HeuristicReport()
-
-    for _sweep in range(sweeps):
-        report.sweeps_run = _sweep + 1
-        improved = False
-        # alternate direction each sweep
-        order = st.order if _sweep % 2 == 0 else list(reversed(st.order))
-        for x in order:
-            is_pi = netlist.cells[x].kind is CellKind.PI
-            if not st.clocked[x] and not is_pi:
-                continue
-            lb, ub = _move_window(st, stages, x, is_pi, kernel.boundary(), n)
-            if ub < lb:
-                continue
-            cands = _candidate_stages(st, stages, x, lb, ub, is_pi, n)
-            current = stages[x]
-            best_stage = current
-            best_cost = kernel.total()
-            for cand in sorted(cands):
-                if cand == current:
-                    continue
-                cost = kernel.cost_if_moved(x, cand)
-                if cost < best_cost - 1e-9:
-                    best_cost = cost
-                    best_stage = cand
-            if best_stage != current:
-                kernel.apply_move(x, best_stage)  # type: ignore[arg-type]
-                improved = True
-        if not improved:
-            break
-
+    report.sweeps_run = _dirty_sweeps(kernel, netlist.pis, sweeps)
     kernel.write_stages()
     report.moves_evaluated = kernel.moves_evaluated
     report.moves_applied = kernel.moves_applied

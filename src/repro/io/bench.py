@@ -10,7 +10,9 @@ Combinational subset only (no DFF on read).  T1 blocks are expanded
 functionally on write, like the BLIF writer.  A referenced constant is
 written as one definition without fanins, ``GND = CONST0()`` or
 ``VDD = CONST1()`` (renamed ``GND_1``, ... when a PI or PO already
-holds the name), and read back as the network's constant node.
+holds the name), and read back as the network's constant node.  Other
+nodes are written ``n<id>`` (and a T1 CN tap's helper ``n<id>_m``), or
+``n<id>_1``, ... when a PI or another node's PO already holds that name.
 """
 
 from __future__ import annotations
@@ -64,16 +66,26 @@ def write_bench(net: LogicNetwork, fh: TextIO) -> None:
     used = set(net.pos)
     for node in net.nodes():
         used.update(net.fanins[node])
-    # gates are written as n<id>, so only a PI or PO name can collide
-    taken = {net.get_name(pi) for pi in net.pis} | set(po_names)
+    # names a generated one must avoid: the PIs' and the PO aliases' (a
+    # PO named like its driver's n<id> needs no alias)
+    claimed = {net.get_name(pi) for pi in net.pis} | {
+        name for po, name in zip(net.pos, po_names) if name != f"n{po}"
+    }
+
+    def fresh(name: str) -> str:
+        """*name*, or the first free *name*_<k> when it is claimed."""
+        if name in claimed:
+            k = 1
+            while f"{name}_{k}" in claimed:
+                k += 1
+            name = f"{name}_{k}"
+        return name
+
     const_names: Dict[int, str] = {}
     const_lines: List[str] = []
     for op, base in (("CONST0", "GND"), ("CONST1", "VDD")):
         if _CONST_BY_NAME[op] in used:
-            name, k = base, 0
-            while name in taken:
-                k += 1
-                name = f"{base}_{k}"
+            name = fresh(base)
             const_names[_CONST_BY_NAME[op]] = name
             const_lines.append(f"{name} = {op}()\n")
 
@@ -83,7 +95,7 @@ def write_bench(net: LogicNetwork, fh: TextIO) -> None:
             return n
         if node in const_names:
             return const_names[node]
-        return f"n{node}"
+        return fresh(f"n{node}")
 
     fh.write(f"# {net.name}\n")
     for pi in net.pis:
@@ -105,8 +117,9 @@ def write_bench(net: LogicNetwork, fh: TextIO) -> None:
             elif g is Gate.T1_C:
                 fh.write(f"{out} = MAJ3({a}, {b}, {c})\n")
             elif g is Gate.T1_CN:
-                fh.write(f"{out}_m = MAJ3({a}, {b}, {c})\n")
-                fh.write(f"{out} = NOT({out}_m)\n")
+                maj = fresh(f"{out}_m")
+                fh.write(f"{maj} = MAJ3({a}, {b}, {c})\n")
+                fh.write(f"{out} = NOT({maj})\n")
             elif g is Gate.T1_Q:
                 fh.write(f"{out} = OR({a}, {b}, {c})\n")
             else:
@@ -131,7 +144,12 @@ def dumps_bench(net: LogicNetwork) -> str:
 
 
 def read_bench(fh: TextIO) -> LogicNetwork:
-    """Parse a combinational .bench file (definitions in any order)."""
+    """Parse a combinational .bench file (definitions in any order).
+
+    The network takes its name from a leading ``# <name>`` line (the
+    header :func:`write_bench` emits; ISCAS files open the same way), or
+    is called ``bench``.
+    """
     net = LogicNetwork("bench")
     inputs: List[Tuple[int, str]] = []
     defs: List[Tuple[int, str, List[str]]] = []
@@ -139,7 +157,13 @@ def read_bench(fh: TextIO) -> LogicNetwork:
     consts: Dict[int, int] = {}  # definition index -> CONST0 / CONST1
     outputs: List[str] = []
 
+    leading = True  # no non-blank line read yet
     for lineno, raw in enumerate(fh, start=1):
+        if leading and raw.strip():
+            leading = False
+            header = raw.strip()
+            if header.startswith("#") and len(header[1:].split()) == 1:
+                net.name = header[1:].strip()
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,7 +14,8 @@ Three engines, used in escalation order by :func:`check_equivalence`:
    budget); the first differing PO pair yields a witness and settles
    the check with no SAT call at all;
 3. SAT on the XOR miter over every PO pair (complete; uses
-   :mod:`repro.sat`) — reached only when no signature differed.
+   :mod:`repro.sat`) — reached only when no signature differed and the
+   two networks do not strash to the same structure.
 
 The T1 flow uses CEC after every replacement pass: T1 taps evaluate their
 XOR3/MAJ3/OR3 semantics in simulation, and the CNF encoder expands them
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.errors import EquivalenceError, NetworkError
+from repro.network.cleanup import strash
 from repro.network.logic_network import LogicNetwork
 from repro.network.simulation import (
     exhaustive_pi_patterns,
@@ -205,8 +207,10 @@ def check_equivalence(
 
     * few PIs -> chunked exhaustive (complete);
     * otherwise the signature engine first (cheap falsification, wide
-      rounds); when no signature differs, the SAT miter over every PO
-      pair — but only when ``complete`` asks for a proof.
+      rounds); when no signature differs and ``complete`` asks for a
+      proof, equal strashed structure (method ``"strash"``: equal
+      :meth:`~repro.network.logic_network.LogicNetwork.structural_hash`
+      means equal functions) or else the SAT miter over every PO pair.
 
     For large networks with ``complete=True`` the SAT call may be slow;
     flows use ``complete=False`` plus heavy random simulation, and the
@@ -218,6 +222,8 @@ def check_equivalence(
     res = signature_equivalence(a, b)
     if not res.equivalent or not complete:
         return res
+    if strash(a)[0].structural_hash() == strash(b)[0].structural_hash():
+        return CecResult(True, "strash")
     return sat_equivalence(a, b)
 
 

@@ -14,13 +14,20 @@ pipelines can be shared and specialised freely.  ``run`` threads a
 :class:`~repro.pipeline.context.FlowContext` through the passes,
 recording per-pass wall-clock timings and firing the registered
 ``on_pass_start`` / ``on_pass_end`` hooks around each stage.
+
+A flow keeps most of what it allocates alive, so a full (gen-2) cyclic
+GC collection inside it traverses every live object and frees little;
+``run`` defers them (see :func:`_deferred_full_gc`).
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PipelineError
 from repro.network.logic_network import LogicNetwork
@@ -39,6 +46,45 @@ from repro.sfq.cell_library import CellLibrary
 
 #: the verification modes a pipeline accepts (see FlowContext.verify)
 VERIFY_MODES = ("none", "cec", "full")
+
+#: gen-2 threshold inside a flow: ~1000 gen-1 collections (~7M net
+#: allocations at the default thresholds) before a full collection
+FLOW_GEN2_THRESHOLD = 1000
+
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_saved: Tuple[int, ...] = ()
+
+
+@contextmanager
+def _deferred_full_gc() -> Iterator[None]:
+    """Raise the gen-2 GC threshold for the duration of the block.
+
+    The outermost entry saves the caller's thresholds and the last exit
+    restores them exactly, exceptions included.  The thresholds are
+    process-wide, so the depth count is too: kept under a lock, it makes
+    nested and concurrent (threaded) flows restore once.
+    Gen-0/1 collections still run as before, and the gen-1 collections
+    counted meanwhile stay pending, so once the thresholds are restored
+    the next collection due can be the deferred full one: memory stays
+    bounded between flows.
+    """
+    global _gc_depth, _gc_saved
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_saved = gc.get_threshold()
+            gc.set_threshold(
+                _gc_saved[0], _gc_saved[1], max(_gc_saved[2], FLOW_GEN2_THRESHOLD)
+            )
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0:
+                gc.set_threshold(*_gc_saved)
+
 
 #: hook signatures: start(ctx, pass_), end(ctx, pass_, elapsed_seconds)
 StartHook = Callable[[FlowContext, Pass], None]
@@ -205,27 +251,33 @@ class Pipeline:
     # -- execution ----------------------------------------------------------
 
     def run(self, net: LogicNetwork, name: Optional[str] = None) -> FlowContext:
-        """Run every pass over *net*; returns the final context."""
-        ctx = FlowContext(
-            source=net,
-            name=name or net.name,
-            verify=self.verify,
-            **({"library": self.library} if self.library is not None else {}),
-        )
-        t0 = time.perf_counter()
-        for p in self.passes:
-            for h in self.hooks:
-                if h.on_pass_start is not None:
-                    h.on_pass_start(ctx, p)
-            tp = time.perf_counter()
-            ctx = p.run(ctx) or ctx
-            elapsed = time.perf_counter() - tp
-            ctx.timings[p.name] = ctx.timings.get(p.name, 0.0) + elapsed
-            for h in self.hooks:
-                if h.on_pass_end is not None:
-                    h.on_pass_end(ctx, p, elapsed)
-        ctx.runtime_s = time.perf_counter() - t0
-        return ctx
+        """Run every pass over *net*; returns the final context.
+
+        Full (gen-2) garbage collections wait until the passes are done;
+        the caller's GC thresholds are restored exactly afterwards (see
+        :func:`_deferred_full_gc`).
+        """
+        with _deferred_full_gc():
+            ctx = FlowContext(
+                source=net,
+                name=name or net.name,
+                verify=self.verify,
+                **({"library": self.library} if self.library is not None else {}),
+            )
+            t0 = time.perf_counter()
+            for p in self.passes:
+                for h in self.hooks:
+                    if h.on_pass_start is not None:
+                        h.on_pass_start(ctx, p)
+                tp = time.perf_counter()
+                ctx = p.run(ctx) or ctx
+                elapsed = time.perf_counter() - tp
+                ctx.timings[p.name] = ctx.timings.get(p.name, 0.0) + elapsed
+                for h in self.hooks:
+                    if h.on_pass_end is not None:
+                        h.on_pass_end(ctx, p, elapsed)
+            ctx.runtime_s = time.perf_counter() - t0
+            return ctx
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Pipeline({' -> '.join(self.names())}, verify={self.verify!r})"

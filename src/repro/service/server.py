@@ -174,6 +174,8 @@ class FlowService:
                     self._cache_errors += 1
             if hit is not None:
                 hit["cached"] = True
+                # the content address ignores names: report this job's
+                hit["benchmark"] = net.name
                 job.cached = True
                 job.started_at = job.submitted_at
                 job.finish_ok(hit)

@@ -18,10 +18,12 @@ import pytest
 
 from oracles.exact_stages import heuristic_vs_optimum, random_netlist
 from oracles.phase_assignment import _net_cost, assign_stages_rescan_reference
+from repro.circuits.registry import TABLE1_ORDER
 from repro.core.dff_insertion import insert_dffs, t1_input_cost
+from repro.core import phase_assignment as phase_module
 from repro.core.phase_assignment import assign_stages_heuristic
 from repro.core import schedule as schedule_module
-from repro.core.schedule import INF, StageSchedule
+from repro.core.schedule import INF, StageSchedule, t1_lower_bound
 from repro.errors import TimingError
 from repro.network.gates import Gate
 from repro.sfq.netlist import OUT, SFQNetlist
@@ -311,6 +313,28 @@ class TestHeuristicEquivalence:
             [c.stage for c in nl_ref.cells]
         )
 
+    @pytest.mark.parametrize("name", TABLE1_ORDER)
+    @pytest.mark.parametrize(
+        "n_phases,use_t1",
+        [(1, False), (4, False), (4, True)],
+        ids=["1phi", "4phi", "t1"],
+    )
+    def test_dirty_sweeps_equal_full_sweeps(self, name, n_phases, use_t1):
+        """Revisiting only marked cells reproduces full sweeps exactly."""
+        nl_kernel = mapped_registry_netlist(name, n_phases, use_t1)
+        nl_ref = mapped_registry_netlist(name, n_phases, use_t1)
+        rk = assign_stages_heuristic(nl_kernel)
+        rr = assign_stages_rescan_reference(nl_ref)
+        assert [c.stage for c in nl_kernel.cells] == [c.stage for c in nl_ref.cells]
+        assert rk.moves_applied == rr.moves_applied
+        assert rk.sweeps_run == rr.sweeps_run
+        assert rk.final_cost == rr.final_cost
+        # the first sweep probes what a full sweep probes; later ones less
+        if rk.sweeps_run == 1:
+            assert rk.moves_evaluated == rr.moves_evaluated
+        else:
+            assert rk.moves_evaluated < rr.moves_evaluated
+
     def test_reports_agree_on_applied_moves(self):
         nl_kernel = mapped_registry_netlist("c7552")
         nl_ref = mapped_registry_netlist("c7552")
@@ -319,6 +343,116 @@ class TestHeuristicEquivalence:
         assert rk.moves_applied == rr.moves_applied
         assert rk.sweeps_run == rr.sweeps_run
         assert rk.moves_evaluated > 0
+
+
+def scattered_stages(nl, seed, slack=3):
+    """A feasible stage vector with random slack above every lower bound.
+
+    Starting the sweeps here instead of at ASAP makes cells keep moving
+    for several sweeps, so later sweeps revisit many marked cells.
+    """
+    rng = random.Random(seed)
+    st = nl.structure()
+    stages = [None] * len(nl.cells)
+    for x in st.order:
+        fins = [stages[d] for d in st.fanin_drivers[x]]
+        if x in nl.pis:
+            stages[x] = rng.randrange(nl.n_phases)
+        elif st.is_t1[x]:
+            stages[x] = t1_lower_bound(fins) + rng.randrange(slack + 1)
+        elif st.clocked[x]:
+            stages[x] = (max(fins) + 1 if fins else 1) + rng.randrange(slack + 1)
+    return stages
+
+
+def audit_dirty_sweeps(nl, sweeps=4, stages=None):
+    """Full sweeps that check every visit the dirty sweeps would skip.
+
+    Visits *every* movable cell from *stages* (default ASAP), keeping
+    the dirty marks alongside, and asserts that each cell the marks
+    leave clean would find no move.  Then runs the package's dirty
+    sweeps from the same start and asserts they end in the same stage
+    vector after the same number of moves and sweeps.  Returns the number
+    of clean visits checked.
+    """
+    st = nl.structure()
+    kernel = StageSchedule(nl, stages=stages, structure=st)
+    is_pi = [False] * len(st.clocked)
+    for p in nl.pis:
+        is_pi[p] = True
+    movable = [c or p for c, p in zip(st.clocked, is_pi)]
+    readers = phase_module._boundary_readers(st, movable)
+    dirty = list(movable)
+    checked = 0
+    sweeps_run = 0
+    for sweep in range(sweeps):
+        sweeps_run = sweep + 1
+        improved = False
+        for x in st.order if sweep % 2 == 0 else st.order[::-1]:
+            if not movable[x]:
+                continue
+            current = kernel.stages[x]
+            best = phase_module._best_stage(kernel, x, is_pi[x])
+            if not dirty[x]:
+                assert best == current, f"sweep {sweep}: clean cell {x} moves"
+                checked += 1
+            dirty[x] = False
+            if best != current:
+                kernel.apply_move(x, best)
+                improved = True
+                phase_module._mark_around(st, x, dirty)
+                for c in readers:
+                    dirty[c] = True
+        if not improved:
+            break
+    dirty_kernel = StageSchedule(nl, stages=stages, structure=st)
+    assert phase_module._dirty_sweeps(dirty_kernel, nl.pis, sweeps) == sweeps_run
+    assert dirty_kernel.stages == kernel.stages
+    assert dirty_kernel.moves_applied == kernel.moves_applied
+    return checked
+
+
+class TestDirtySweeps:
+    """A cell the dirty sweeps skip would re-derive "no move".
+
+    The differential tests above compare end results; these check the
+    marking rules visit by visit, on random netlists dense in T1s, shared
+    nets and POs, where a missing mark shows as a clean cell that moves.
+    """
+
+    @pytest.mark.parametrize("scattered", [False, True], ids=["asap", "scattered"])
+    @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
+    def test_random_netlists(self, n_phases, scattered):
+        checked = 0
+        for seed in range(100):
+            nl = random_netlist(seed, n_phases, n_pi=5, n_gates=30, n_t1=6, n_po=8)
+            stages = scattered_stages(nl, seed) if scattered else None
+            checked += audit_dirty_sweeps(nl, sweeps=8, stages=stages)
+        assert checked > 0
+
+    def test_sink_revisited_when_the_boundary_drops(self):
+        """Sink x shares no net with the far sink y2, yet y2's move down
+        lowers the boundary both PO nets are priced against, and only
+        then does x's own move down pay."""
+        nl = SFQNetlist("boundary", n_phases=4)
+        p, q = nl.add_pi(), nl.add_pi()
+        g = nl.add_gate(Gate.AND, [(p, OUT)])
+        z = nl.add_gate(Gate.AND, [(g, OUT)])
+        z2 = nl.add_gate(Gate.AND, [(z, OUT), (p, OUT)])
+        x = nl.add_gate(Gate.AND, [(g, OUT)])
+        y1 = nl.add_gate(Gate.AND, [(q, OUT)])
+        y2 = nl.add_gate(Gate.AND, [(y1, OUT)])
+        for cell in (x, y2, z2):
+            nl.add_po((cell, OUT))
+        stages = [0, 0, 1, 2, 3, 6, 1, 9]
+        audit_dirty_sweeps(nl, stages=stages)
+        kernel = StageSchedule(nl, stages=stages)
+        assert phase_module._dirty_sweeps(kernel, nl.pis, 4) == 3
+        assert (kernel.stages[y2], kernel.stages[x]) == (3, 2)
+
+    @pytest.mark.parametrize("name", ["c6288", "voter", "square", "log2"])
+    def test_registry(self, name):
+        assert audit_dirty_sweeps(mapped_registry_netlist(name)) > 0
 
 
 class TestProbeScaling:

@@ -67,6 +67,61 @@ class TestBenchRoundTrip:
     def test_no_constant_no_definition(self):
         assert "CONST" not in dumps_bench(ripple_carry_adder(4))
 
+    def test_gate_name_avoids_pi_name(self):
+        net = LogicNetwork()
+        a = net.add_pi("a")
+        net.add_pi("n5")  # node ids: 0/1 constants, a = 2, n5 = 3
+        g = net.add_and(a, 3)
+        h = net.add_not(g)
+        assert h == 5
+        net.add_po(h, "y")
+        text = dumps_bench(net)
+        assert "n5_1 = NOT(n4)" in text and "y = BUFF(n5_1)" in text
+        back = loads_bench(text)
+        assert exhaustive_equivalence(net, back).equivalent
+        assert [back.get_name(p) for p in back.pis] == ["a", "n5"]
+
+    def test_t1_helper_name_avoids_pi_name(self):
+        net = LogicNetwork()
+        a, b, c = net.add_pi("a"), net.add_pi("n6_m"), net.add_pi("c")
+        cell = net.add_t1_cell(a, b, c)
+        tap = net.add_t1_tap(cell, Gate.T1_CN)
+        assert tap == 6
+        net.add_po(tap, "y")
+        back = loads_bench(dumps_bench(net))
+        assert exhaustive_equivalence(net, back).equivalent
+
+    def test_gate_name_avoids_other_po_alias(self):
+        net = LogicNetwork()
+        a, b = net.add_pi("a"), net.add_pi("b")
+        g = net.add_and(a, b)  # 4
+        h = net.add_or(a, b)  # 5
+        net.add_po(g, "n5")  # alias for gate 4, named like gate 5
+        net.add_po(h, "n4")  # and the other way round
+        net.add_po(h, "n5_1")  # the first fresh name is taken as well
+        text = dumps_bench(net)
+        back = loads_bench(text)
+        assert exhaustive_equivalence(net, back).equivalent
+        assert back.po_names == ("n5", "n4", "n5_1")
+        again = dumps_bench(back)  # and the re-read network writes again
+        assert exhaustive_equivalence(net, loads_bench(again)).equivalent
+
+    def test_po_named_like_its_driver_needs_no_alias(self):
+        net = LogicNetwork()
+        a, b = net.add_pi("a"), net.add_pi("b")
+        g = net.add_xor(a, b)
+        net.add_po(g, f"n{g}")
+        text = dumps_bench(net)
+        assert "BUFF" not in text and f"n{g} = XOR(a, b)" in text
+
+    def test_name_from_header(self):
+        net = ripple_carry_adder(3)
+        net.name = "rca3"
+        assert loads_bench(dumps_bench(net)).name == "rca3"
+        assert loads_bench("\n# c17\n# 5 inputs\nINPUT(a)\nOUTPUT(a)\n").name == "c17"
+        assert loads_bench("INPUT(a)\n# late\nOUTPUT(a)\n").name == "bench"
+        assert loads_bench("# two words\nINPUT(a)\nOUTPUT(a)\n").name == "bench"
+
 
 @pytest.mark.parametrize("preset", ["ci", "paper"])
 @pytest.mark.parametrize("name", names())

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.circuits import build
 from repro.errors import EquivalenceError, NetworkError
+from repro.io import dumps_bench, loads_bench
 from repro.network import (
     LogicNetwork,
     assert_equivalent,
@@ -101,6 +103,13 @@ class TestDriver:
         res = check_equivalence(a, b, complete=True)
         assert res.equivalent
         assert res.method == "sat"
+
+    def test_same_structure_needs_no_sat(self):
+        # paper c6288 against its own .bench round trip: the SAT miter
+        # ran for over an hour; equal strashed structure settles it
+        net = build("c6288", "paper")
+        res = check_equivalence(net, loads_bench(dumps_bench(net)), complete=True)
+        assert res.equivalent and res.method == "strash"
 
     def test_incomplete_mode_stops_at_random(self):
         a, b = make_pair(True, n=18)

@@ -1,16 +1,95 @@
-"""The seed scan-and-rebuild phase heuristic — the schedule kernel's oracle."""
+"""The seed scan-and-rebuild phase heuristic — the schedule kernel's oracle.
 
-from typing import Optional, Sequence, Set
+It keeps its own copies of the move window and the candidate scan, so
+it runs full sweeps of the seed's rules whatever the package's phase
+engine becomes.
+"""
+
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.core.dff_insertion import t1_input_cost
-from repro.core.phase_assignment import (
-    HeuristicReport,
-    _candidate_stages,
-    _move_window,
-)
-from repro.core.schedule import INF, StageSchedule, asap_stages
+from repro.core.phase_assignment import HeuristicReport
+from repro.core.schedule import INF, StageSchedule, asap_stages, t1_lower_bound
 from repro.sfq.multiphase import edge_dffs
-from repro.sfq.netlist import CellKind, SFQNetlist, Signal
+from repro.sfq.netlist import CellKind, NetlistStructure, SFQNetlist, Signal
+
+
+#: a cell's breakpoint scan stops once it has gathered this many stages
+MAX_CANDIDATES = 160
+
+
+def _candidate_stages(
+    st: NetlistStructure,
+    stages: Sequence[Optional[int]],
+    x: int,
+    lb: int,
+    ub: int,
+    is_pi: bool,
+    n: int,
+) -> Set[int]:
+    """Candidate stages for cell *x*: window ends, fine offsets near the
+    current position (T1 staggering moves in ±1 steps), and the
+    ceil-breakpoints of all incident edges."""
+    cands: Set[int] = {lb, ub, stages[x]}  # type: ignore[arg-type]
+    for delta in (-2, -1, 1, 2):
+        for base in (stages[x], lb, ub):
+            s = base + delta  # type: ignore[operator]
+            if lb <= s <= ub:
+                cands.add(s)
+    if is_pi:
+        cands.update(range(lb, ub + 1))
+    for d in st.fanin_drivers[x]:
+        base = stages[d]
+        k = 0
+        while True:
+            s = base + k * n + 1  # type: ignore[operator]
+            if s > ub:
+                break
+            if s >= lb:
+                cands.add(s)
+                if s + n - 1 <= ub:
+                    cands.add(s + n - 1)
+            k += 1
+            if len(cands) > MAX_CANDIDATES:
+                break
+    for c in list(st.net_consumers[x]) + list(st.t1_consumers[x]):
+        base = stages[c]
+        k = 1
+        while True:
+            s = base - k * n  # type: ignore[operator]
+            if s < lb:
+                break
+            if s <= ub:
+                cands.add(s)
+            k += 1
+            if len(cands) > MAX_CANDIDATES:
+                break
+    return cands
+
+
+def _move_window(
+    st: NetlistStructure,
+    stages: Sequence[Optional[int]],
+    x: int,
+    is_pi: bool,
+    boundary: int,
+    n: int,
+) -> Tuple[int, int]:
+    """Feasible [lb, ub] stage window of cell *x* given its neighbours."""
+    if is_pi:
+        lb = 0
+    else:
+        fins = [stages[d] for d in st.fanin_drivers[x]]
+        if st.is_t1[x]:
+            lb = t1_lower_bound(fins)  # type: ignore[arg-type]
+        else:
+            lb = (max(fins) + 1) if fins else 1  # type: ignore[arg-type]
+    ubs = [stages[c] - 1 for c in st.net_consumers[x]]  # type: ignore[operator]
+    ubs += [stages[t] - 1 for t in st.t1_consumers[x]]  # type: ignore[operator]
+    ub = min(ubs) if ubs else boundary
+    if is_pi:
+        ub = min(ub, n - 1)
+    return lb, ub
 
 
 def _net_cost(

@@ -111,6 +111,24 @@ class TestFlowServiceCore:
         assert second["cached"] is True
         assert service.cache.stats()["hits"] == 1
 
+    def test_cache_hit_reports_the_submitted_name(self, service):
+        from repro.io import dumps_bench
+
+        net = build("adder", "ci")
+        results = []
+        for name in ("first", "second"):
+            net.name = name
+            status = service.submit(
+                {"circuit": {"kind": "bench", "text": dumps_bench(net)},
+                 "config": FAST_CONFIG}
+            )
+            service.wait(status["job_id"], timeout=60)
+            results.append(service.job_result(status["job_id"]))
+        first, second = results
+        assert (first["cached"], second["cached"]) == (False, True)
+        assert (first["benchmark"], second["benchmark"]) == ("first", "second")
+        assert second["metrics"] == first["metrics"]
+
     def test_failed_job_result_raises(self, service):
         status = service.submit(
             {"circuit": registry_circuit("adder", "ci"),
