@@ -187,19 +187,21 @@ def insert_dffs(
             return  # constants need no balancing (0 = silence, 1 = free-running)
         ds = driver.stage
         assert ds is not None
-        gaps = []
+        # chain length: the longest consumer gap, then the PO boundary
+        max_gap = 0
         for cons_idx, _i in consumers:
             cs = cells[cons_idx].stage
             assert cs is not None
-            if cs - ds < 1:
+            gap = cs - ds
+            if gap < 1:
                 raise TimingError(
                     f"edge {driver.index}->{cons_idx}: consumer not later"
                 )
-            gaps.append(cs - ds)
-        length_gates_only = net_chain_length(gaps, n)
-        if po_indices:
-            gaps.append(po_boundary - ds)
-        length = net_chain_length(gaps, n)
+            if gap > max_gap:
+                max_gap = gap
+        length_gates_only = edge_dffs(max_gap, n) if consumers else 0
+        po_tap = edge_dffs(po_boundary - ds, n) if po_indices else 0
+        length = max(length_gates_only, po_tap)
         # build the shared chain
         chain: List[int] = []
         prev: Signal = sig
@@ -215,10 +217,9 @@ def insert_dffs(
             tap_idx = edge_dffs(cs - ds, n)  # elements before the consumer
             if tap_idx > 0:
                 netlist.replace_fanin(cons_idx, fanin_i, (chain[tap_idx - 1], OUT))
-        for po_idx in po_indices:
-            tap_idx = edge_dffs(po_boundary - ds, n)
-            if tap_idx > 0:
-                netlist.replace_po(po_idx, (chain[tap_idx - 1], OUT))
+        if po_tap > 0:
+            for po_idx in po_indices:
+                netlist.replace_po(po_idx, (chain[po_tap - 1], OUT))
 
     all_signals = sorted(set(net_consumers) | set(po_by_signal))
     if share_chains:

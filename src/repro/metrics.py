@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import MappingError
 from repro.sfq.cell_library import CellLibrary, default_library
 from repro.sfq.multiphase import depth_cycles
 from repro.sfq.netlist import CellKind, SFQNetlist
@@ -44,56 +43,64 @@ class NetlistMetrics:
 
 def count_splitters(netlist: SFQNetlist) -> int:
     """f − 1 splitters per net with f consumers (POs count as consumers)."""
-    total = 0
-    for _sig, users in netlist.consumers().items():
-        if len(users) > 1:
-            total += len(users) - 1
-    return total
+    return netlist.splitter_demand()
 
 
 def area_jj(
     netlist: SFQNetlist, library: Optional[CellLibrary] = None
 ) -> int:
     """Total JJ count of the netlist under the given cost model."""
-    library = library or default_library()
-    total = 0
-    for cell in netlist.cells:
-        if cell.kind in (CellKind.PI, CellKind.CONST0, CellKind.CONST1):
-            continue
-        if cell.kind is CellKind.DFF:
-            total += library.dff.jj_count
-        elif cell.kind is CellKind.T1:
-            total += library.t1.jj_count
-        elif cell.kind is CellKind.SPLITTER:
-            total += library.splitter.jj_count
-        elif cell.kind is CellKind.GATE:
-            assert cell.op is not None
-            total += library.gate_area(cell.op, len(cell.fanins))
-        else:  # pragma: no cover - exhaustive
-            raise MappingError(f"unknown cell kind {cell.kind}")
-    # nets not yet materialised still need their combinatorial f-1 count
-    # (after materialize_splitters every net has one consumer -> adds 0)
-    total += count_splitters(netlist) * library.splitter.jj_count
-    return total
+    return measure(netlist, library).area_jj
 
 
 def measure(
     netlist: SFQNetlist, library: Optional[CellLibrary] = None
 ) -> NetlistMetrics:
-    """All Table-I metrics for one netlist."""
+    """All Table-I metrics for one netlist, in one walk over its cells.
+
+    PIs and constants are free; every other cell costs its library JJ
+    count.  Nets not yet materialised still need their combinatorial
+    f − 1 splitters (after ``materialize_splitters`` every net has one
+    consumer, so that term adds 0 and the physical splitters count).
+    """
     library = library or default_library()
-    num_gates = sum(1 for _ in netlist.gate_cells())
-    num_t1 = sum(1 for _ in netlist.t1_cells())
-    num_dffs = netlist.num_dffs()
-    physical = sum(1 for c in netlist.cells if c.kind is CellKind.SPLITTER)
-    splitters = physical + count_splitters(netlist)
+    dff_jj = library.dff.jj_count
+    t1_jj = library.t1.jj_count
+    splitter_jj = library.splitter.jj_count
+    gates = t1s = dffs = physical = area = max_stage = 0
+    # bound once: each ``CellKind.X`` lookup is a slow class-attribute read
+    GATE, DFF, T1, SPLITTER = (
+        CellKind.GATE, CellKind.DFF, CellKind.T1, CellKind.SPLITTER
+    )
+    for cell in netlist.cells:
+        kind = cell.kind
+        if kind is GATE:
+            gates += 1
+            assert cell.op is not None
+            area += library.gate_area(cell.op, len(cell.fanins))
+        elif kind is DFF:
+            dffs += 1
+            area += dff_jj
+        elif kind is T1:
+            t1s += 1
+            area += t1_jj
+        elif kind is SPLITTER:
+            physical += 1
+            area += splitter_jj
+            continue
+        else:  # PI / CONST0 / CONST1: free and unclocked
+            continue
+        stage = cell.stage
+        if stage is not None and stage > max_stage:
+            max_stage = stage
+    demand = netlist.splitter_demand()
     return NetlistMetrics(
         name=netlist.name,
         n_phases=netlist.n_phases,
-        num_gates=num_gates,
-        num_t1=num_t1,
-        num_dffs=num_dffs,
-        num_splitters=splitters,
-        area_jj=area_jj(netlist, library),
-        depth_cycles=depth_cycles(netlist.max_stage(), netlist.n_phases),
+        num_gates=gates,
+        num_t1=t1s,
+        num_dffs=dffs,
+        num_splitters=physical + demand,
+        area_jj=area + demand * splitter_jj,
+        depth_cycles=depth_cycles(max_stage, netlist.n_phases),
     )

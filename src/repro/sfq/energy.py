@@ -28,7 +28,7 @@ from typing import Optional
 # module scope would make repro.sfq <-> repro.metrics circular; resolved
 # lazily inside _cell_jj instead.
 from repro.sfq.cell_library import CellLibrary, default_library
-from repro.sfq.netlist import CellKind, SFQNetlist
+from repro.sfq.netlist import SFQNetlist
 
 #: flux quantum h/2e in webers (V·s)
 PHI0_WB = 2.067833848e-15
@@ -92,26 +92,13 @@ class EnergyReport:
 
 
 def _cell_jj(netlist: SFQNetlist, library: CellLibrary) -> tuple:
-    total = 0
-    clocked = 0
-    for cell in netlist.cells:
-        if cell.kind in (CellKind.PI, CellKind.CONST0, CellKind.CONST1):
-            continue
-        if cell.kind is CellKind.DFF:
-            jj = library.dff.jj_count
-        elif cell.kind is CellKind.T1:
-            jj = library.t1.jj_count
-        elif cell.kind is CellKind.SPLITTER:
-            jj = library.splitter.jj_count
-        else:
-            jj = library.gate_area(cell.op, len(cell.fanins))
-        total += jj
-        if cell.clocked:
-            clocked += jj
-    from repro.metrics import count_splitters
+    """(total JJs, JJs in clocked cells): everything but the splitters
+    is clocked, since PIs and constants cost nothing."""
+    from repro.metrics import measure
 
-    total += count_splitters(netlist) * library.splitter.jj_count
-    return total, clocked
+    metrics = measure(netlist, library)
+    total = metrics.area_jj
+    return total, total - metrics.num_splitters * library.splitter.jj_count
 
 
 def estimate_energy(

@@ -58,6 +58,10 @@ class CellKind(enum.Enum):
         return f"CellKind.{self.name}"
 
 
+#: the kinds that take a clock pulse and carry a stage
+CLOCKED_KINDS = (CellKind.GATE, CellKind.T1, CellKind.DFF)
+
+
 @dataclass
 class Cell:
     """One netlist element."""
@@ -71,7 +75,7 @@ class Cell:
 
     @property
     def clocked(self) -> bool:
-        return self.kind in (CellKind.GATE, CellKind.T1, CellKind.DFF)
+        return self.kind in CLOCKED_KINDS
 
     def output_ports(self) -> Tuple[str, ...]:
         if self.kind is CellKind.T1:
@@ -311,6 +315,20 @@ class SFQNetlist:
         for sig, slots in self._po_index.items():
             out.setdefault(sig, []).extend(-1 for _ in slots)
         return out
+
+    def splitter_demand(self) -> int:
+        """f − 1 splitters per net with f consumers (POs count as consumers).
+
+        Sums the lengths of the maintained consumer and PO indices
+        (every entry is non-empty); nothing is copied.
+        """
+        cons = self._consumer_index
+        total = 0
+        for users in cons.values():
+            total += len(users) - 1
+        for sig, slots in self._po_index.items():
+            total += len(slots) if sig in cons else len(slots) - 1
+        return total
 
     def driver_cell(self, signal: Signal) -> Cell:
         return self.cells[signal[0]]

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.errors import TimingError
-from repro.sfq.netlist import CellKind, SFQNetlist
+from repro.sfq.netlist import CLOCKED_KINDS, CellKind, SFQNetlist
+from repro.sfq.splitters import resolve_clocked_driver
 
 
 @dataclass
@@ -41,61 +42,62 @@ class TimingReport:
 
 
 def check_timing(netlist: SFQNetlist) -> TimingReport:
-    """Run all rules; returns a report (does not raise)."""
-    n = netlist.n_phases
-    report = TimingReport(n)
-    v = report.violations
+    """Run all rules in one walk over the cells; returns a report (does
+    not raise).
 
-    for cell in netlist.cells:
-        if cell.kind is CellKind.PI:
-            if cell.stage is None or not 0 <= cell.stage < n:
-                v.append(
-                    f"PI cell {cell.index} stage {cell.stage} outside "
+    Violations are listed rule by rule — stage rules, then edge gaps,
+    then T1 arrivals — each in cell order.
+    """
+    n = netlist.n_phases
+    cells = netlist.cells
+    stage_v: List[str] = []
+    gap_v: List[str] = []
+    t1_v: List[str] = []
+    # bound once: each ``CellKind.X`` lookup is a slow class-attribute read
+    PI, T1, SPLITTER = CellKind.PI, CellKind.T1, CellKind.SPLITTER
+
+    for cell in cells:
+        kind = cell.kind
+        stage = cell.stage
+        if kind is PI:
+            if stage is None or not 0 <= stage < n:
+                stage_v.append(
+                    f"PI cell {cell.index} stage {stage} outside "
                     f"epoch 0 (must be one of phases 0..{n - 1})"
                 )
             continue
-        if not cell.clocked:
+        if kind not in CLOCKED_KINDS:
             continue
-        if cell.stage is None:
-            v.append(f"{cell.kind.name} cell {cell.index} has no stage")
+        if stage is None:
+            stage_v.append(f"{kind.name} cell {cell.index} has no stage")
             continue
-        if cell.stage < 0:
-            v.append(f"cell {cell.index} has negative stage {cell.stage}")
-
-    from repro.sfq.splitters import resolve_clocked_driver
-
-    for cell in netlist.cells:
-        if not cell.clocked or cell.stage is None:
-            continue
+        if stage < 0:
+            stage_v.append(f"cell {cell.index} has negative stage {stage}")
+        is_t1 = kind is T1
+        arrivals = []
         for sig in cell.fanins:
-            driver = netlist.driver_cell(resolve_clocked_driver(netlist, sig))
-            if driver.stage is None:
-                continue  # reported above
-            gap = cell.stage - driver.stage
+            driver = cells[sig[0]]
+            if driver.kind is SPLITTER:
+                driver = cells[resolve_clocked_driver(netlist, sig)[0]]
+            ds = driver.stage
+            if ds is None:
+                continue  # reported as a stage rule
+            gap = stage - ds
             if gap < 1:
-                v.append(
-                    f"edge {driver.index}->{cell.index}: gap {gap} < 1"
-                )
+                gap_v.append(f"edge {driver.index}->{cell.index}: gap {gap} < 1")
             elif gap > n:
-                v.append(
+                gap_v.append(
                     f"edge {driver.index}->{cell.index}: gap {gap} > n={n} "
                     "(pulse overwritten by next wave)"
                 )
-
-    for cell in netlist.t1_cells():
-        if cell.stage is None:
-            continue
-        arrivals = []
-        for sig in cell.fanins:
-            driver = netlist.driver_cell(resolve_clocked_driver(netlist, sig))
-            if driver.stage is not None:
-                arrivals.append(driver.stage)
-        if len(set(arrivals)) != len(arrivals):
-            v.append(
+            if is_t1:
+                arrivals.append(ds)
+        if is_t1 and len(set(arrivals)) != len(arrivals):
+            t1_v.append(
                 f"T1 cell {cell.index}: fanin arrival stages {arrivals} "
                 "not pairwise distinct (eq. 5 violated)"
             )
-    return report
+    return TimingReport(n, stage_v + gap_v + t1_v)
 
 
 def assert_timing(netlist: SFQNetlist) -> None:

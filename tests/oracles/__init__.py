@@ -14,7 +14,11 @@ shipped module it checks:
 * :mod:`oracles.phase_assignment` — ``assign_stages_rescan_reference``;
 * :mod:`oracles.exact_stages` — the exhaustive phase-assignment optimum;
 * :mod:`oracles.cpsat` / :mod:`oracles.dff_insertion` — the CP solver
-  and the CP model of eq. 5 that cross-checks ``plan_t1_inputs``.
+  and the CP model of eq. 5 that cross-checks ``plan_t1_inputs``;
+* :mod:`oracles.timing` — ``check_timing_reference``, the three-walk
+  timing-rule checker;
+* :mod:`oracles.metrics` — ``measure_reference`` / ``area_jj_reference``
+  / ``count_splitters_reference``, the walk-per-metric Table-I layer.
 
 Tests import them as ``oracles.<module>``; ``tests/conftest.py`` and
 ``benchmarks/_harness.py`` put ``tests/`` on ``sys.path``.
