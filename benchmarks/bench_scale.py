@@ -1,8 +1,9 @@
-"""Scale benchmark: the flat-array core on 100k–1M-node synthetics.
+"""Scale benchmark: the network kernel on 100k–1M-node synthetics.
 
 Builds the seeded synthetic generators (``repro.circuits.synthetic``)
-at large node counts and measures the bulk paths the struct-of-arrays
-kernel exists for, writing ``BENCH_scale.json`` at the repository root:
+at large node counts and measures the kernel's bulk paths (one-call
+construction, gate-grouped simulation, code-native cut enumeration and
+rewriting), writing ``BENCH_scale.json`` at the repository root:
 
 * **construction** — ``add_gates_bulk`` vs the per-call
   ``add_gate`` loop on the same netlist spec (nodes/s each, speedup);
@@ -11,7 +12,7 @@ kernel exists for, writing ``BENCH_scale.json`` at the repository root:
 * **simulation** — the gate-grouped kernel vs the per-node
   ``oracles.simulation.simulate_nodewise`` loop at width 64, warm (schedule built),
   best-of-``repeats`` (nodes/s each, speedup);
-* **cut enumeration** (ratchet circuit only) — the flat-array
+* **cut enumeration** (ratchet circuit only) — the
   ``enumerate_cuts`` kernel vs ``enumerate_cuts_reference`` at k=3,
   plus ``CutDatabase.nbytes()`` flat-storage memory;
 * **rewrite sweep** (ratchet circuit only) — the topological-sweep
@@ -57,7 +58,7 @@ from repro.network.simulation import random_patterns
 MIN_CONSTRUCTION_SPEEDUP = 2.0
 #: simulation-ratchet floor (grouped vs per-node nodes/s)
 MIN_SIMULATION_SPEEDUP = 1.5
-#: cut-enumeration-ratchet floor (flat kernel vs reference nodes/s)
+#: cut-enumeration-ratchet floor (kernel vs reference nodes/s)
 MIN_CUT_ENUM_SPEEDUP = 2.0
 #: rewrite-sweep-ratchet floor (queue kernel vs reference nodes/s)
 MIN_REWRITE_SPEEDUP = 2.0
@@ -122,7 +123,7 @@ def bench_circuit(name, scale, repeats, failures):
         failures.append(f"{name}: sweep dropped nodes on a fully live net")
 
     pats = random_patterns(len(net.pis), SIM_WIDTH, seed=7)
-    # warm both paths: grouped builds its schedule, nodewise its tuples
+    # warm both paths: grouped builds its schedule
     grouped0 = simulate(net, pats, SIM_WIDTH)
     nodewise0 = simulate_nodewise(net, pats, SIM_WIDTH)
     if grouped0 != nodewise0:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TimingError
 from repro.sfq.multiphase import edge_dffs
-from repro.sfq.netlist import CellKind, OUT, SFQNetlist, Signal
+from repro.sfq.netlist import CONST_KINDS, CellKind, OUT, SFQNetlist, Signal
 
 INF = float("inf")
 
@@ -183,7 +183,7 @@ def insert_dffs(
         po_indices: List[int],
     ) -> None:
         driver = netlist.driver_cell(sig)
-        if driver.kind in (CellKind.CONST0, CellKind.CONST1):
+        if driver.kind in CONST_KINDS:
             return  # constants need no balancing (0 = silence, 1 = free-running)
         ds = driver.stage
         assert ds is not None

@@ -32,25 +32,20 @@ _ASSOC_CODES = frozenset(CODE_BY_GATE[g] for g in _ASSOCIATIVE)
 
 def _collect_chain(
     codes: bytearray,
-    off,
-    deg,
-    pool,
+    fanins: List[Tuple[int, ...]],
     root: int,
     code: int,
     fanout_counts: List[int],
 ) -> Tuple[List[int], List[int]]:
     """Maximal operator tree under *root*; returns (leaves, absorbed).
 
-    Walks the CSR fanin pool directly (codes/off/deg/pool are the flat
-    struct-of-arrays core of the network)."""
+    Walks the network's gate codes and fanin tuples directly."""
     leaves: List[int] = []
     absorbed: List[int] = []
     stack = [root]
     while stack:
         u = stack.pop()
-        o = off[u]
-        for j in range(o, o + deg[u]):
-            f = pool[j]
+        for f in fanins[u]:
             if codes[f] == code and fanout_counts[f] == 1:
                 absorbed.append(f)
                 stack.append(f)
@@ -75,7 +70,7 @@ def balance(
     fanout_counts = net.compute_fanout_counts()
     fanouts = net.compute_fanouts()
     codes = net.gate_codes
-    off, deg, pool = net.fanin_arrays()
+    fanins = net.fanins
     assoc_codes = _ASSOC_CODES
     out = net.clone()
     replaced: Dict[int, int] = {}
@@ -92,7 +87,7 @@ def balance(
         if parent_absorbs:
             continue
         leaves, absorbed = _collect_chain(
-            codes, off, deg, pool, node, code, fanout_counts
+            codes, fanins, node, code, fanout_counts
         )
         if len(absorbed) < 1 or len(leaves) <= max_arity:
             continue

@@ -55,24 +55,23 @@ def strash(net: LogicNetwork) -> Tuple[LogicNetwork, NodeMap]:
     order = net.topological_order()
     live = live_nodes(net)
     codes = net.gate_codes
-    off, deg, pool = net.fanin_arrays()
+    fanins = net.fanins
     out = LogicNetwork(net.name, hash_cons=True)
     mapping = {CONST0: CONST0, CONST1: CONST1}
 
     for pi in net.pis:
         mapping[pi] = out.add_pi(net.get_name(pi))
 
-    # the replay loop reads gate codes and the CSR fanin pool directly —
-    # no per-node tuple views on what is the inner loop of every
-    # rewrite pass
+    # the replay loop reads gate codes and fanin tuples directly — no
+    # per-node Gate lookups on what is the inner loop of every rewrite
+    # pass
     for node in order:
         if node in mapping or node not in live:
             continue
         c = codes[node]
         if c == _C_PI:
             continue
-        o = off[node]
-        fins = tuple(mapping[pool[j]] for j in range(o, o + deg[node]))
+        fins = tuple([mapping[f] for f in fanins[node]])
         if c == _C_T1_CELL:
             mapping[node] = out.add_t1_cell(*fins)
         elif c in T1_TAP_CODES:

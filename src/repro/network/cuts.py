@@ -6,15 +6,14 @@ with at most *k* leaves, filtering dominated cuts, and pruning to the
 ``cuts_per_node`` best (smaller first) to bound the blow-up.
 
 Each cut carries the truth table of the node over the cut leaves — this
-is what Boolean matching consumes.  The enumeration kernel is
-*array-native* end to end: it reads gates and fanins straight from the
-flat struct-of-arrays core (``net.gate_codes`` / ``net.fanin_arrays()``)
-and stores every node's cuts as **flat parallel row arrays** — one
-offset/count span per node into a shared row-major ``(leaf tuple, table
-bits)`` store — instead of per-node ``Cut`` lists.  ``Cut`` /
-``TruthTable`` objects are materialised lazily, only for the nodes a
-consumer actually touches; the hot consumers (T1 matching, the rewrite
-scorer) read the raw rows directly.
+is what Boolean matching consumes.  The enumeration kernel reads gates
+and fanins straight off the network (``net.gate_codes`` /
+``net.fanins``) and stores every node's cuts as **flat parallel row
+arrays** — one offset/count span per node into a shared row-major
+``(leaf tuple, table bits)`` store — instead of per-node ``Cut`` lists.
+``Cut`` / ``TruthTable`` objects are materialised lazily, only for the
+nodes a consumer actually touches; the hot consumers (T1 matching, the
+rewrite scorer) read the raw rows directly.
 
 The merge/dominance loop works on sorted leaf tuples with early
 subsumption exits (``|A∪B| == |A|`` proves ``B ⊆ A`` without sorting),
@@ -496,7 +495,7 @@ def enumerate_cuts(
     T1 blocks: the cell and its taps get only trivial cuts (they are
     already mapped; re-matching inside them is pointless).
 
-    Reads gates and fanins from the flat struct-of-arrays core and
+    Reads gate codes and fanin tuples straight off the network and
     stores results as flat row arrays, without allocating any ``Cut`` /
     ``TruthTable`` objects.
     """
@@ -505,7 +504,7 @@ def enumerate_cuts(
     if order is None:
         order = topological_order(net)
     codes = net.gate_codes
-    off, deg, pool = net.fanin_arrays()
+    fanins = net.fanins
     n = net.num_nodes()
     rstart = [0] * n
     rcount = [0] * n
@@ -536,12 +535,7 @@ def enumerate_cuts(
             rcount[node] = 1
             continue
 
-        o = off[node]
-        d = deg[node]
-        if d == 2:
-            fins = (pool[o], pool[o + 1])
-        else:
-            fins = tuple(pool[o:o + d])
+        fins = fanins[node]
         kept = merge_memo.get(fins)
         if kept is None:
             spans = [(rstart[f], rstart[f] + rcount[f]) for f in fins]

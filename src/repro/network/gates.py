@@ -57,7 +57,7 @@ class Gate(enum.Enum):
 #: taps reading one synchronous output of a T1 cell
 T1_TAPS: Tuple[Gate, ...] = (Gate.T1_S, Gate.T1_C, Gate.T1_Q, Gate.T1_CN, Gate.T1_QN)
 
-#: dense integer codes for the flat-array network core: ``GATES_BY_CODE[c]``
+#: dense integer codes for the network kernel: ``GATES_BY_CODE[c]``
 #: is the enum member stored as byte ``c`` in ``LogicNetwork``'s gate
 #: bytearray, and ``CODE_BY_GATE`` is the inverse.  Codes are the enum's
 #: declaration order; they are an in-memory representation detail, never

@@ -2,24 +2,21 @@
 
 Design notes
 ------------
-* Nodes are integer handles into **struct-of-arrays storage**: gate kinds
-  live in one ``bytearray`` of :data:`~repro.network.gates.CODE_BY_GATE`
-  codes, fanins in CSR form (one flat ``array('q')`` fanin pool plus
-  per-node offset/degree arrays), and reference counts in a parallel
-  ``array('q')``.  Node 0 is CONST0 and node 1 is CONST1; they always
-  exist.  A 100k–1M-node netlist is a handful of arrays, not a million
-  boxed objects.
-* ``net.gates`` and ``net.fanins`` are **lazy compatibility views** over
-  those arrays: ``net.gates[i]`` is still the :class:`Gate` enum member
-  and ``net.fanins[i]`` is still a tuple of fanin ids (materialised on
-  first access and cached until that node mutates), and both compare /
-  iterate like the lists they used to be.  Code that only reads stays
-  source-compatible; hot loops can bind the view once or go array-native.
+* Nodes are integer handles into **per-node storage**: gate kinds live
+  in one ``bytearray`` of :data:`~repro.network.gates.CODE_BY_GATE`
+  codes, fanins in one list of per-node fanin-id tuples, and reference
+  counts in a parallel ``array('q')``.  Node 0 is CONST0 and node 1 is
+  CONST1; they always exist.
+* ``net.gates`` is a **live view** over the code bytearray:
+  ``net.gates[i]`` is the :class:`Gate` enum member, and the view
+  compares / iterates like the list it replaced.  ``net.fanins`` *is*
+  the fanin store: ``net.fanins[i]`` is node *i*'s tuple of fanin ids.
+  Treat both as read-only; mutate through the kernel mutators.
 * Fanin tuples are rewritten via :meth:`substitute` /
-  :meth:`replace_fanin` (degree-preserving, in place in the pool);
-  unreferenced nodes are removed by :meth:`compact` (pointer fix-up over
-  the arrays, emitting a :class:`~repro.network.nodemap.NodeMap`) or by
-  the :func:`repro.network.cleanup.sweep` wrapper.
+  :meth:`replace_fanin`; unreferenced nodes are removed by
+  :meth:`compact` (id fix-up over the codes and fanin tuples, emitting
+  a :class:`~repro.network.nodemap.NodeMap`) or by the
+  :func:`repro.network.cleanup.sweep` wrapper.
 * **Incrementally maintained indices**: the kernel keeps a fanout index
   (consumer -> multiplicity per node) and structural reference counts in
   sync across every mutation, so :meth:`substitute` costs O(fanout of the
@@ -27,13 +24,13 @@ Design notes
   rescan the edge list.  A maintained **free-list** (the exact set of
   zero-fanout non-source nodes) seeds :meth:`compact`'s liveness cascade,
   so dead-node removal is refcount propagation over int arrays rather
-  than a reachability set walk plus list rebuilds.
+  than a reachability set walk.
 * **Mutation epoch + cached analyses**: every structural mutation bumps
   ``epoch``; topological order, levels and materialised fanout lists are
   cached per epoch, so repeated :meth:`topological_order` /
   :meth:`levels` / :meth:`depth` calls on an unchanged network are O(1).
-  Both run array-native (iterative Kahn over the CSR arrays).  Treat the
-  returned lists as immutable — they are shared with the cache.
+  Treat the returned lists as immutable — they are shared with the
+  cache.
 * **Bulk construction**: :meth:`add_gates_bulk` appends (and with
   ``hash_cons=True`` hash-conses) a whole netlist in one call — one epoch
   bump, no per-call dispatch — and is what the scalable circuit
@@ -50,16 +47,15 @@ Design notes
 * The T1 cell is a multi-output block: a ``T1_CELL`` node plus tap nodes
   (see :mod:`repro.network.gates`).
 
-The pre-flat tuple-layout kernel lives on in the tests
-(``tests/oracles/logic_network.py``) and is pinned against this
-implementation by randomized differential fuzz.
+The seed kernel (``List[Gate]`` kinds, rebuild-based compaction) lives
+on in the tests (``tests/oracles/logic_network.py``) and is pinned
+against this implementation by randomized differential fuzz.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CycleError, NetworkError
@@ -225,72 +221,6 @@ class GateView:
         return f"GateView({list(self)!r})"
 
 
-class FaninView:
-    """Sequence view of the CSR fanin arrays as per-node id tuples.
-
-    ``view[i]`` materialises node *i*'s fanin tuple from the flat pool on
-    first access and caches it until that node's fanins mutate, so
-    repeated reads cost one list index — large bulk-built networks never
-    pay for tuples they do not touch.  Item assignment writes through to
-    the pool (relocating the node's span when the arity changes) but, as
-    before the flat core, bypasses the maintained fanout/refcount
-    indices — it exists for tests that deliberately break the DAG;
-    real mutations must go through the kernel mutators.
-    """
-
-    __slots__ = ("_off", "_deg", "_pool", "_tuples")
-
-    def __init__(self, off: array, deg: array, pool: array, tuples: List):
-        self._off = off
-        self._deg = deg
-        self._pool = pool
-        self._tuples = tuples
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self._tuples)))]
-        t = self._tuples[index]
-        if t is None:
-            o = self._off[index]
-            t = tuple(self._pool[o : o + self._deg[index]])
-            self._tuples[index] = t
-        return t
-
-    def __setitem__(self, index: int, fins) -> None:
-        fins = tuple(fins)
-        if index < 0:
-            index += len(self._tuples)
-        d = self._deg[index]
-        if len(fins) == d:
-            o = self._off[index]
-            self._pool[o : o + d] = array("q", fins)
-        else:  # arity change: relocate the span to the end of the pool
-            self._off[index] = len(self._pool)
-            self._deg[index] = len(fins)
-            self._pool.extend(fins)
-        self._tuples[index] = fins
-
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __iter__(self):
-        for i in range(len(self._tuples)):
-            yield self[i]
-
-    def __eq__(self, other) -> bool:
-        try:
-            if len(other) != len(self._tuples):
-                return False
-            return all(a == b for a, b in zip(self, other))
-        except TypeError:
-            return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]  # mutable view, like a list
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FaninView({list(self)!r})"
-
-
 class LogicNetwork:
     """A combinational logic network with maintained analysis indices.
 
@@ -298,10 +228,10 @@ class LogicNetwork:
     ----------
     gates:
         :class:`GateView`; ``gates[i]`` is the :class:`Gate` kind of node
-        ``i`` (stored as one byte in the flat core).
+        ``i`` (stored as one byte code).
     fanins:
-        :class:`FaninView`; ``fanins[i]`` is the tuple of fanin node ids
-        of node ``i`` (stored as a CSR span in the flat fanin pool).
+        The fanin store itself: ``fanins[i]`` is the tuple of fanin node
+        ids of node ``i``.
     epoch:
         Mutation counter; bumped by every structural change.  Analyses
         cached against an epoch stay valid while it is unchanged.
@@ -309,16 +239,13 @@ class LogicNetwork:
 
     def __init__(self, name: str = "top", *, hash_cons: bool = False):
         self.name = name
-        # struct-of-arrays storage --------------------------------------------
+        # per-node storage ---------------------------------------------------
         # NOTE: these containers are mutated in place and never rebound —
-        # the gates/fanins views alias them for the network's lifetime.
+        # the gates view and callers holding ``net.fanins`` alias them for
+        # the network's lifetime.
         self._codes: bytearray = bytearray((_C_CONST0, _C_CONST1))
-        self._off: array = array("q", (0, 0))
-        self._deg: array = array("q", (0, 0))
-        self._pool: array = array("q")
-        self._tuples: List[Optional[Tuple[int, ...]]] = [(), ()]
+        self._fanins: List[Tuple[int, ...]] = [(), ()]
         self._gate_view = GateView(self._codes)
-        self._fanin_view = FaninView(self._off, self._deg, self._pool, self._tuples)
         self._pis: List[int] = []
         self._pos: List[int] = []
         self._po_names: List[Optional[str]] = []
@@ -366,9 +293,9 @@ class LogicNetwork:
         return self._gate_view
 
     @property
-    def fanins(self) -> FaninView:
-        """Per-node fanin tuples (live :class:`FaninView` over the CSR pool)."""
-        return self._fanin_view
+    def fanins(self) -> List[Tuple[int, ...]]:
+        """Per-node fanin tuples — the store itself; treat it as read-only."""
+        return self._fanins
 
     @property
     def gate_codes(self) -> bytearray:
@@ -378,14 +305,6 @@ class LogicNetwork:
         immutable.
         """
         return self._codes
-
-    def fanin_arrays(self) -> Tuple[array, array, array]:
-        """The raw CSR fanin storage ``(offsets, degrees, pool)``.
-
-        Node ``i``'s fanins are ``pool[offsets[i] : offsets[i] + degrees[i]]``.
-        Shared with the kernel — treat all three as immutable.
-        """
-        return self._off, self._deg, self._pool
 
     def set_hash_cons(self, enabled: bool) -> None:
         """Toggle hash-consed construction.
@@ -430,10 +349,7 @@ class LogicNetwork:
         code = CODE_BY_GATE[gate]
         node = len(self._codes)
         self._codes.append(code)
-        self._off.append(len(self._pool))
-        self._deg.append(len(fanins))
-        self._pool.extend(fanins)
-        self._tuples.append(fanins)
+        self._fanins.append(fanins)
         self._fanout.append({})
         self._struct_refs.append(0)
         free = self._free
@@ -469,7 +385,7 @@ class LogicNetwork:
                 return payload  # type: ignore[return-value]
             gate, fins = payload  # type: ignore[assignment]
         if gate is Gate.NOT and self._codes[fins[0]] == _C_NOT:
-            return self._pool[self._off[fins[0]]]  # double negation
+            return self._fanins[fins[0]][0]  # double negation
         if gate in _COMMUTATIVE:
             fins = tuple(sorted(fins))
         key = (gate, fins)
@@ -535,12 +451,11 @@ class LogicNetwork:
         after the call).
 
         Returns the resolved node id per item.  Without ``hash_cons``
-        this is the flat fast path: the batch accumulates in local
-        buffers and commits to the struct-of-arrays with a handful of
-        bulk extends and one epoch bump, producing a network
-        node-for-node identical to the equivalent ``add_gate``/
-        ``add_pi`` loop — and the batch is atomic: a bad item leaves
-        the network untouched.  With ``hash_cons`` items are folded/
+        this is the fast path: the batch accumulates in local buffers
+        and commits with a handful of bulk extends and one epoch bump,
+        producing a network node-for-node identical to the equivalent
+        ``add_gate``/``add_pi`` loop — and the batch is atomic: a bad
+        item leaves the network untouched.  With ``hash_cons`` items are folded/
         deduped exactly as ``add_gate`` would (per-item, not atomic),
         and the returned ids reflect the folding.
         """
@@ -569,8 +484,7 @@ class LogicNetwork:
         tap_codes = T1_TAP_CODES
         # batch accumulators — committed with bulk extends on success
         acc_codes = bytearray()
-        acc_deg: List[int] = []
-        acc_pool: List[int] = []
+        acc_fanins: List[Tuple[int, ...]] = []
         new_fout: List[Dict[int, int]] = []
         new_pis: List[int] = []
         #: pre-batch fanin -> {consumer: multiplicity}; merged at commit
@@ -584,8 +498,7 @@ class LogicNetwork:
         code_memo: Dict[int, int] = {}
         arity_ok: Set[int] = set()
         put_code = acc_codes.append
-        put_deg = acc_deg.append
-        put_pool = acc_pool.extend
+        put_fanins = acc_fanins.append
         put_fout = new_fout.append
         get_code = code_memo.get
         node = base
@@ -628,8 +541,7 @@ class LogicNetwork:
                     else:
                         raise NetworkError(f"fanin {f} does not exist")
                 put_code(code)
-                put_deg(nf)
-                put_pool(fins)
+                put_fanins(tuple(fins))
                 put_fout({})
                 if code == _C_PI:
                     new_pis.append(node)
@@ -643,11 +555,7 @@ class LogicNetwork:
         out_ids = list(range(base, node))
         # commit
         codes.extend(acc_codes)
-        acc_off = list(accumulate(acc_deg, initial=len(self._pool)))
-        self._off.extend(acc_off[:-1])
-        self._deg.extend(acc_deg)
-        self._pool.extend(acc_pool)
-        self._tuples.extend([None] * len(out_ids))
+        self._fanins.extend(acc_fanins)
         fout.extend(new_fout)
         refs.extend(map(len, new_fout))
         for j, extra in dup_refs.items():
@@ -756,7 +664,7 @@ class LogicNetwork:
         return GATES_BY_CODE[self._codes[node]]
 
     def fanin(self, node: int) -> Tuple[int, ...]:
-        return self._fanin_view[node]
+        return self._fanins[node]
 
     def is_pi(self, node: int) -> bool:
         return self._codes[node] == _C_PI
@@ -773,13 +681,12 @@ class LogicNetwork:
 
     def t1_taps_of(self, cell: int) -> List[int]:
         codes = self._codes
-        off = self._off
-        pool = self._pool
+        fanins = self._fanins
         tap_codes = T1_TAP_CODES
         return sorted(
             n
             for n in self._fanout[cell]
-            if codes[n] in tap_codes and pool[off[n]] == cell
+            if codes[n] in tap_codes and fanins[n][0] == cell
         )
 
     # -- maintained fanout index ------------------------------------------------
@@ -798,7 +705,7 @@ class LogicNetwork:
     def compute_fanouts(self) -> List[List[int]]:
         """``fanouts[u]`` = list of nodes having u as a fanin (with repeats).
 
-        Materialised from the CSR arrays and cached per epoch — treat
+        Materialised from the fanin tuples and cached per epoch — treat
         the result as immutable.
         """
         if (
@@ -806,15 +713,10 @@ class LogicNetwork:
             and self._fanout_lists_epoch == self._epoch
         ):
             return self._fanout_lists_cache
-        n = len(self._codes)
-        off = self._off
-        deg = self._deg
-        pool = self._pool
-        fanouts: List[List[int]] = [[] for _ in range(n)]
-        for node in range(n):
-            o = off[node]
-            for j in range(o, o + deg[node]):
-                fanouts[pool[j]].append(node)
+        fanouts: List[List[int]] = [[] for _ in range(len(self._codes))]
+        for node, fins in enumerate(self._fanins):
+            for f in fins:
+                fanouts[f].append(node)
         self._fanout_lists_cache = fanouts
         self._fanout_lists_epoch = self._epoch
         return fanouts
@@ -831,25 +733,22 @@ class LogicNetwork:
     def topological_order(self) -> List[int]:
         """All nodes in a fanin-before-fanout order (Kahn's algorithm).
 
-        Runs array-native over the CSR storage (counting-sort fanout CSR
-        + int-array worklist).  Includes dead nodes; raises
+        Runs over a counting-sorted fanout index and an int worklist.
+        Includes dead nodes; raises
         :class:`CycleError` on combinational loops.  Cached per mutation
         epoch — treat the result as immutable.
         """
         if self._topo_cache is not None and self._topo_epoch == self._epoch:
             return self._topo_cache
         n = len(self._codes)
-        off = self._off
-        deg = self._deg
-        pool = self._pool
-        # reverse (fanout) CSR by counting sort — consumer ids ascending
-        # per driver, multiplicities adjacent, same order the fanout-list
+        fanins = self._fanins
+        # flat fanout index by counting sort — consumer ids ascending per
+        # driver, multiplicities adjacent, same order the fanout-list
         # materialisation produces
         counts = [0] * n
-        for v in range(n):
-            o = off[v]
-            for j in range(o, o + deg[v]):
-                counts[pool[j]] += 1
+        for fins in fanins:
+            for f in fins:
+                counts[f] += 1
         starts = [0] * (n + 1)
         s = 0
         for i in range(n):
@@ -858,13 +757,11 @@ class LogicNetwork:
         starts[n] = s
         fo = [0] * s
         ptr = starts[:n]
-        for v in range(n):
-            o = off[v]
-            for j in range(o, o + deg[v]):
-                f = pool[j]
+        for v, fins in enumerate(fanins):
+            for f in fins:
                 fo[ptr[f]] = v
                 ptr[f] += 1
-        indeg = list(deg)
+        indeg = list(map(len, fanins))
         order = [i for i in range(n) if indeg[i] == 0]
         head = 0
         while head < len(order):
@@ -891,21 +788,18 @@ class LogicNetwork:
         order = self.topological_order()
         lvl = [0] * len(self._codes)
         codes = self._codes
-        off = self._off
-        deg = self._deg
-        pool = self._pool
+        fanins = self._fanins
         tap_codes = T1_TAP_CODES
         for node in order:
-            d = deg[node]
-            if not d:
+            fins = fanins[node]
+            if not fins:
                 continue  # lvl already 0
-            o = off[node]
             if codes[node] in tap_codes:
-                lvl[node] = lvl[pool[o]]
+                lvl[node] = lvl[fins[0]]
             else:
                 best = 0
-                for j in range(o, o + d):
-                    v = lvl[pool[j]]
+                for f in fins:
+                    v = lvl[f]
                     if v > best:
                         best = v
                 lvl[node] = best + 1
@@ -950,9 +844,7 @@ class LogicNetwork:
         for index, pi in enumerate(self._pis):
             digests[pi] = hashlib.sha256(b"PI:%d" % index).digest()
         codes = self._codes
-        off = self._off
-        deg = self._deg
-        pool = self._pool
+        fanins = self._fanins
         commutative = _COMMUTATIVE_CODES
         gates_by_code = GATES_BY_CODE
         sha256 = hashlib.sha256
@@ -960,8 +852,7 @@ class LogicNetwork:
             if digests[node] is not None:
                 continue
             c = codes[node]
-            o = off[node]
-            fins = [digests[pool[j]] for j in range(o, o + deg[node])]
+            fins = [digests[f] for f in fanins[node]]
             if c in commutative:
                 fins.sort()
             digests[node] = sha256(
@@ -976,12 +867,6 @@ class LogicNetwork:
         return result
 
     # -- mutation ------------------------------------------------------------------
-
-    def _write_fanins(self, node: int, new_fins: Tuple[int, ...]) -> None:
-        """Degree-preserving CSR rewrite of one node's fanin span."""
-        o = self._off[node]
-        self._pool[o : o + len(new_fins)] = array("q", new_fins)
-        self._tuples[node] = new_fins
 
     def _update_free(self, node: int) -> None:
         """Re-derive one node's free-list membership from its counts."""
@@ -1010,15 +895,15 @@ class LogicNetwork:
             return 0
         rewritten = 0
         consumers = self._fanout[old]
-        view = self._fanin_view
+        fanins = self._fanins
         if consumers:
             moved = 0
             new_out = self._fanout[new]
             for node, mult in list(consumers.items()):
-                fins = view[node]
+                fins = fanins[node]
                 new_fins = tuple(new if f == old else f for f in fins)
                 self._hash_retable(node, fins, new_fins)
-                self._write_fanins(node, new_fins)
+                fanins[node] = new_fins
                 new_out[node] = new_out.get(node, 0) + mult
                 rewritten += mult
                 moved += mult
@@ -1039,7 +924,7 @@ class LogicNetwork:
 
     def replace_fanin(self, node: int, old: int, new: int) -> None:
         """Rewrite one node's fanin tuple only (every occurrence of *old*)."""
-        fins = self._fanin_view[node]
+        fins = self._fanins[node]
         if old not in fins:
             raise NetworkError(f"{old} is not a fanin of {node}")
         if not 0 <= new < len(self._codes):
@@ -1049,7 +934,7 @@ class LogicNetwork:
         mult = fins.count(old)
         new_fins = tuple(new if f == old else f for f in fins)
         self._hash_retable(node, fins, new_fins)
-        self._write_fanins(node, new_fins)
+        self._fanins[node] = new_fins
         out = self._fanout[old]
         out[node] -= mult
         if out[node] == 0:
@@ -1082,13 +967,13 @@ class LogicNetwork:
 
     def _rebuild_hash_table(self) -> None:
         table: Dict[Tuple, int] = {}
-        view = self._fanin_view
+        fanins = self._fanins
         source = SOURCE_CODES
         for node, c in enumerate(self._codes):
             if c in source:
                 continue
             gate = GATES_BY_CODE[c]
-            fins = view[node]
+            fins = fanins[node]
             key = (gate, tuple(sorted(fins)) if gate in _COMMUTATIVE else fins)
             table.setdefault(key, node)
         self._hash_table = table
@@ -1105,16 +990,13 @@ class LogicNetwork:
         """
         seen: set = set()
         stack = list(self._pos)
-        off = self._off
-        deg = self._deg
-        pool = self._pool
+        fanins = self._fanins
         while stack:
             u = stack.pop()
             if u in seen:
                 continue
             seen.add(u)
-            o = off[u]
-            stack.extend(pool[o : o + deg[u]])
+            stack.extend(fanins[u])
         seen.add(CONST0)
         seen.add(CONST1)
         seen.update(self._pis)
@@ -1133,9 +1015,7 @@ class LogicNetwork:
         dead = bytearray(n)
         counts = self.compute_fanout_counts()
         codes = self._codes
-        off = self._off
-        deg = self._deg
-        pool = self._pool
+        fanins = self._fanins
         source = SOURCE_CODES
         stack = list(self._free)
         while stack:
@@ -1143,9 +1023,7 @@ class LogicNetwork:
             if dead[u]:
                 continue
             dead[u] = 1
-            o = off[u]
-            for j in range(o, o + deg[u]):
-                f = pool[j]
+            for f in fanins[u]:
                 counts[f] -= 1
                 if counts[f] == 0 and not dead[f] and codes[f] not in source:
                     stack.append(f)
@@ -1158,8 +1036,8 @@ class LogicNetwork:
         order, then the remaining live nodes in topological order (the
         same id discipline as a from-scratch ``sweep`` rebuild, so the two
         are interchangeable).  Dead nodes are found by the free-list
-        refcount cascade and squeezed out by pointer fix-up over the flat
-        arrays; they are absent from the returned
+        refcount cascade and squeezed out by id fix-up over the codes and
+        fanin tuples; they are absent from the returned
         :class:`~repro.network.nodemap.NodeMap` and their names are
         dropped.
         """
@@ -1176,32 +1054,17 @@ class LogicNetwork:
                 continue
             remap[node] = len(seq)
             seq.append(node)
-        remap_arr = array("q", bytes(8 * n))
+        new_of = [0] * n
         for old, new in remap.items():
-            remap_arr[old] = new
-        # pointer fix-up: rewrite the arrays in place (the views alias them)
-        old_off = self._off[:]
-        old_deg = self._deg[:]
-        old_pool = self._pool[:]
-        new_n = len(seq)
-        new_codes = bytearray(new_n)
-        new_off = array("q", bytes(8 * new_n))
-        new_deg = array("q", bytes(8 * new_n))
-        new_pool = array("q")
+            new_of[old] = new
+        renumber = new_of.__getitem__
+        # id fix-up, in place (the gates view and holders of net.fanins
+        # alias these containers)
         codes = self._codes
-        for new_id, old_id in enumerate(seq):
-            new_codes[new_id] = codes[old_id]
-            o = old_off[old_id]
-            d = old_deg[old_id]
-            new_off[new_id] = len(new_pool)
-            new_deg[new_id] = d
-            for j in range(o, o + d):
-                new_pool.append(remap_arr[old_pool[j]])
-        self._codes[:] = new_codes
-        self._off[:] = new_off
-        self._deg[:] = new_deg
-        self._pool[:] = new_pool
-        self._tuples[:] = [None] * new_n
+        fanins = self._fanins
+        new_n = len(seq)
+        codes[:] = bytes([codes[old] for old in seq])
+        fanins[:] = [tuple(map(renumber, fanins[old])) for old in seq]
         self._pis = [remap[pi] for pi in self._pis]
         self._pos = [remap[po] for po in self._pos]
         self._po_pos = {}
@@ -1210,18 +1073,13 @@ class LogicNetwork:
         self._names = {
             remap[u]: name for u, name in self._names.items() if u in remap
         }
-        # rebuild the maintained indices from the compacted arrays
+        # rebuild the maintained indices from the compacted fanins
         self._fanout[:] = [dict() for _ in range(new_n)]
         self._struct_refs[:] = array("q", bytes(8 * new_n))
         fout = self._fanout
         refs = self._struct_refs
-        pool = self._pool
-        off = self._off
-        deg = self._deg
-        for node in range(new_n):
-            o = off[node]
-            for j in range(o, o + deg[node]):
-                f = pool[j]
+        for node, fins in enumerate(fanins):
+            for f in fins:
                 out = fout[f]
                 out[node] = out.get(node, 0) + 1
                 refs[f] += 1
@@ -1243,31 +1101,18 @@ class LogicNetwork:
         """
         n = len(self._codes)
         if not (
-            len(self._off)
-            == len(self._deg)
-            == len(self._tuples)
-            == len(self._fanout)
-            == len(self._struct_refs)
-            == n
+            len(self._fanins) == len(self._fanout) == len(self._struct_refs) == n
         ):
             raise NetworkError("kernel arrays out of sync")
         if len(self._pos) != len(self._po_names):
             raise NetworkError("PO name list out of sync")
-        pool_len = len(self._pool)
-        for node in range(n):
-            o = self._off[node]
-            d = self._deg[node]
-            if o < 0 or d < 0 or o + d > pool_len:
-                raise NetworkError(f"CSR span of node {node} out of bounds")
-            cached = self._tuples[node]
-            if cached is not None and cached != tuple(self._pool[o : o + d]):
-                raise NetworkError(f"fanin tuple cache stale at node {node}")
         fresh_fanout: List[Dict[int, int]] = [{} for _ in range(n)]
         fresh_refs = [0] * n
-        for node in range(n):
-            o = self._off[node]
-            for j in range(o, o + self._deg[node]):
-                f = self._pool[j]
+        for node, fins in enumerate(self._fanins):
+            # hashable fanins: cut enumeration and hash-consing key on them
+            if not isinstance(fins, tuple):
+                raise NetworkError(f"fanins of node {node} are not a tuple")
+            for f in fins:
                 if not 0 <= f < n:
                     raise NetworkError(f"fanin {f} of node {node} out of range")
                 d = fresh_fanout[f]
@@ -1330,12 +1175,11 @@ class LogicNetwork:
                     "free-list liveness cascade diverges from PO reachability"
                 )
         if self._hash_cons:
-            view = self._fanin_view
             for key, node in self._hash_table.items():
                 gate, fins = key
                 if self._codes[node] != CODE_BY_GATE[gate]:
                     raise NetworkError(f"hash table gate mismatch at {node}")
-                actual = view[node]
+                actual = self._fanins[node]
                 canon = (
                     tuple(sorted(actual)) if gate in _COMMUTATIVE else actual
                 )
@@ -1346,12 +1190,9 @@ class LogicNetwork:
 
     def clone(self) -> "LogicNetwork":
         out = LogicNetwork(self.name)
-        # in-place copies: the clone's views alias the clone's containers
+        # in-place copies: the clone's gates view aliases its code array
         out._codes[:] = self._codes
-        out._off[:] = self._off
-        out._deg[:] = self._deg
-        out._pool[:] = self._pool
-        out._tuples[:] = self._tuples
+        out._fanins[:] = self._fanins
         out._pis = list(self._pis)
         out._pos = list(self._pos)
         out._po_names = list(self._po_names)

@@ -37,9 +37,8 @@ _ABSORBABLE = frozenset(
 class MffcComputer:
     """Reusable MFFC engine over a frozen network snapshot.
 
-    Walks gates and fanins straight off the flat struct-of-arrays core
-    (gate-code bytearray + CSR fanin pool) — no tuple views on the hot
-    path.
+    Walks the gate-code bytearray and the fanin tuples straight off
+    the network — no per-node ``Gate`` lookups on the hot path.
     """
 
     def __init__(self, net: LogicNetwork):
@@ -49,7 +48,7 @@ class MffcComputer:
         # restores it
         self.refs = net.compute_fanout_counts()
         self._codes = net.gate_codes
-        self._off, self._deg, self._pool = net.fanin_arrays()
+        self._fanins = net.fanins
 
     def _stoppable(self, node: int) -> bool:
         """Nodes at which the cone always stops (never absorbed)."""
@@ -76,9 +75,7 @@ class MffcComputer:
         """
         refs = self.refs
         codes = self._codes
-        off = self._off
-        deg = self._deg
-        pool = self._pool
+        fanins = self._fanins
         absorbable = _ABSORBABLE
         stop = set(boundary)
         roots = [r for r in roots if codes[r] in absorbable]
@@ -88,9 +85,7 @@ class MffcComputer:
 
         while worklist:
             u = worklist.pop()
-            o = off[u]
-            for j in range(o, o + deg[u]):
-                f = pool[j]
+            for f in fanins[u]:
                 refs[f] -= 1
                 touched.append(f)
                 if (

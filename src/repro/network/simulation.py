@@ -226,12 +226,12 @@ def _build_schedule(net: LogicNetwork) -> List[tuple]:
     Returns a list of ``(runner, columns)`` pairs in ascending level
     order; each runner performs one Boolean operation over flat
     ``array('q')`` target/fanin columns, read from the network's raw
-    ``gate_codes`` / ``fanin_arrays()``.
+    ``gate_codes`` / ``fanins``.
     """
     order = net.topological_order()
     lvl = net.levels()
     codes = net.gate_codes
-    off, deg, pool = net.fanin_arrays()
+    fanins = net.fanins
     family_by_code = _FAMILY_BY_CODE
     tap_codes = _TAP_CODES
     groups: Dict[tuple, tuple] = {}
@@ -241,11 +241,10 @@ def _build_schedule(net: LogicNetwork) -> List[tuple]:
         if fam is None:
             continue  # const/PI (seeded) or T1_CELL (taps carry values)
         family, inverted = fam
-        o = off[node]
-        d = deg[node]
+        fins = fanins[node]
         if c in tap_codes:  # taps evaluate over the cell's fanins
-            o = off[pool[o]]
-            d = 3
+            fins = fanins[fins[0]]
+        d = len(fins)
         aclass = d if d <= 3 else 0
         key = (lvl[node], family, inverted, aclass)
         entry = groups.get(key)
@@ -253,10 +252,10 @@ def _build_schedule(net: LogicNetwork) -> List[tuple]:
             entry = groups[key] = tuple([] for _ in range((aclass or 1) + 1))
         entry[0].append(node)
         if aclass:
-            for i in range(d):
-                entry[i + 1].append(pool[o + i])
+            for i, f in enumerate(fins):
+                entry[i + 1].append(f)
         else:
-            entry[1].append(tuple(pool[o : o + d]))
+            entry[1].append(fins)
     schedule: List[tuple] = []
     for key in sorted(groups):
         _level, family, inverted, aclass = key

@@ -53,7 +53,7 @@ def depth(net: LogicNetwork) -> int:
 
 def transitive_fanin(net: LogicNetwork, roots: Iterable[int]) -> Set[int]:
     """All nodes in the cone of influence of *roots* (roots included)."""
-    off, deg, pool = net.fanin_arrays()
+    fanins = net.fanins
     seen: Set[int] = set()
     stack = list(roots)
     while stack:
@@ -61,8 +61,7 @@ def transitive_fanin(net: LogicNetwork, roots: Iterable[int]) -> Set[int]:
         if u in seen:
             continue
         seen.add(u)
-        o = off[u]
-        stack.extend(pool[o:o + deg[u]])
+        stack.extend(fanins[u])
     return seen
 
 

@@ -89,9 +89,15 @@ def new_job_id() -> str:
 
 @dataclass
 class Job:
-    """One unit of service work and its lifecycle record."""
+    """One unit of service work and its lifecycle record.
 
-    net: LogicNetwork
+    ``net`` is released (set to ``None``) when the job reaches a terminal
+    state: the record outlives the flow, and a parsed circuit per kept
+    record would grow the daemon with every job.  A crashed attempt that
+    is retried goes back to ``QUEUED`` and keeps its network.
+    """
+
+    net: Optional[LogicNetwork]
     config: Dict[str, Any]
     id: str = field(default_factory=new_job_id)
     cache_key: Optional[str] = None
@@ -110,12 +116,14 @@ class Job:
     done: threading.Event = field(default_factory=threading.Event, repr=False)
 
     def finish_ok(self, report: Dict[str, Any]) -> None:
+        self.net = None
         self.report = report
         self.state = DONE
         self.finished_at = time.time()
         self.done.set()
 
     def finish_failed(self, error: str, retryable: bool = False) -> None:
+        self.net = None
         self.error = error
         self.retryable = retryable
         self.state = FAILED
@@ -124,6 +132,7 @@ class Job:
 
     def finish_quarantined(self, error: str) -> None:
         """Terminal poisoned-job state: never retried, never lost."""
+        self.net = None
         self.error = error
         self.retryable = False
         self.state = QUARANTINED

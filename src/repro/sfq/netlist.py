@@ -60,6 +60,11 @@ class CellKind(enum.Enum):
 
 #: the kinds that take a clock pulse and carry a stage
 CLOCKED_KINDS = (CellKind.GATE, CellKind.T1, CellKind.DFF)
+#: the constant drivers (0 = pulse absence, 1 = free-running)
+CONST_KINDS = (CellKind.CONST0, CellKind.CONST1)
+# bound once: a CellKind member read costs an enum attribute lookup
+_T1 = CellKind.T1
+_SPLITTER = CellKind.SPLITTER
 
 
 @dataclass
@@ -78,9 +83,10 @@ class Cell:
         return self.kind in CLOCKED_KINDS
 
     def output_ports(self) -> Tuple[str, ...]:
-        if self.kind is CellKind.T1:
+        kind = self.kind
+        if kind is _T1:
             return T1_PORTS
-        if self.kind is CellKind.SPLITTER:
+        if kind is _SPLITTER:
             return SPLITTER_PORTS
         return (OUT,)
 
@@ -108,7 +114,7 @@ class NetlistStructure:
         self.netlist = netlist
         self.n = netlist.n_phases
         cells = netlist.cells
-        self.is_t1 = [c.kind is CellKind.T1 for c in cells]
+        self.is_t1 = [c.kind is _T1 for c in cells]
         self.clocked = [c.clocked for c in cells]
         self.fanin_drivers: List[List[int]] = [
             [sig[0] for sig in c.fanins] for c in cells
@@ -120,9 +126,9 @@ class NetlistStructure:
         self.t1_consumers: List[Set[int]] = [set() for _ in cells]
         # (consumer, fanin index) slots per signal, ordinary consumers only
         self.net_slots: Dict[Signal, List[Tuple[int, int]]] = {}
-        for c in cells:
+        for c, t1 in zip(cells, self.is_t1):
             for i, sig in enumerate(c.fanins):
-                if c.kind is CellKind.T1:
+                if t1:
                     self.t1_consumers[sig[0]].add(c.index)
                 else:
                     self.nets.setdefault(sig, []).append(c.index)
@@ -131,11 +137,10 @@ class NetlistStructure:
         self.signals_of_cell: List[List[Signal]] = [[] for _ in cells]
         for sig in self.nets:
             self.signals_of_cell[sig[0]].append(sig)
-        const_kinds = (CellKind.CONST0, CellKind.CONST1)
         self.po_signals: Set[Signal] = {
             sig
             for sig, _name in netlist.pos
-            if cells[sig[0]].kind not in const_kinds
+            if cells[sig[0]].kind not in CONST_KINDS
         }
         for sig in self.po_signals:
             self.nets.setdefault(sig, [])

@@ -1,4 +1,4 @@
-"""Differential tests for the flat struct-of-arrays network core.
+"""Differential tests for the network kernel against the seed oracle.
 
 ``oracles.logic_network.ReferenceLogicNetwork`` is the seed tuple-layout
 kernel, retained verbatim as an oracle.  These tests
@@ -141,6 +141,16 @@ def test_fuzz_mutators_match_reference(seed):
             assert_networks_identical(flat, ref)
 
 
+def test_check_invariants_rejects_non_tuple_fanins():
+    net = LogicNetwork()
+    a, b = net.add_pi(), net.add_pi()
+    g = net.add_and(a, b)
+    net.check_invariants()
+    net.fanins[g] = [a, b]  # out-of-band edit: same edges, unhashable
+    with pytest.raises(NetworkError, match="not a tuple"):
+        net.check_invariants()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_fuzz_hash_cons_matches_reference(seed):
     rng = random.Random(f"flat-fuzz-hc:{seed}")
@@ -211,12 +221,14 @@ class TestAddGatesBulk:
                 (Gate.PI, ()),
                 (Gate.AND, (2, 3)),  # batch items 0 and 1
                 (Gate.NOT, (4,)),  # batch item 2
+                (Gate.OR, [4, 5]),  # list fanins are stored as tuples
             ]
         )
-        assert out == [2, 3, 4, 5]
+        assert out == [2, 3, 4, 5, 6]
         assert net.pis == (2, 3)
         assert net.fanin(4) == (2, 3)
         assert net.fanin(5) == (4,)
+        assert type(net.fanins[6]) is tuple and net.fanins[6] == (4, 5)
         net.check_invariants()
 
     def test_t1_cell_and_taps_in_batch(self):

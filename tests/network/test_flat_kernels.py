@@ -1,16 +1,15 @@
-"""Differential fuzz of the array-native analysis/rewrite kernels.
+"""Differential fuzz of the code-native analysis/rewrite kernels.
 
-PR 9 ported the hot loops of cut enumeration, MFFC computation,
-balancing and the refactor scorer onto the flat
-struct-of-arrays core (``gate_codes`` + CSR fanin pool).  These tests
-pin the ports two ways:
+Cut enumeration, MFFC computation, balancing and the refactor scorer
+read the network's gate-code bytearray and fanin tuples directly
+(``gate_codes`` + ``fanins``).  These tests pin those kernels two ways:
 
 * **vs the retained oracles** — ``enumerate_cuts`` against
   ``enumerate_cuts_reference`` on fuzzed mutator sequences and on the
   ``--scale`` synthetic generators;
-* **vs the tuple kernel** — every ported pass also runs on a
+* **vs the seed kernel** — every pass also runs on a
   ``ReferenceLogicNetwork`` replay of the same circuit (through its
-  ``gate_codes`` / ``fanin_arrays()`` snapshots) and must produce identical
+  ``gate_codes`` snapshot and ``fanins`` list) and must produce identical
   results, including across ``compact()`` NodeMap events.
 
 The mutator machinery is shared with ``test_flat_core``.

@@ -1,25 +1,25 @@
-"""The retained tuple-layout network kernel — the flat core's oracle.
+"""The retained seed network kernel — the production kernel's oracle.
 
-This is the pre-flat-array :class:`~repro.network.LogicNetwork`
-implementation, kept verbatim (``gates`` as a ``List[Gate]``, ``fanins`` as a
-``List[Tuple[int, ...]]``, compaction by list rebuild) so the
-struct-of-arrays core in :mod:`repro.network.logic_network` has a
-differential oracle: the randomized fuzz in
-``tests/network/test_flat_core.py`` replays identical mutator sequences
-(``add_gate`` / ``substitute`` / ``replace_fanin`` / ``compact`` /
-``clone``) against both layouts and asserts identical gates, fanins,
-``NodeMap`` events and ``structural_hash``.
+This is the seed :class:`~repro.network.LogicNetwork` implementation,
+kept verbatim (``gates`` as a ``List[Gate]``, ``fanins`` as a
+``List[Tuple[int, ...]]``, compaction by list rebuild) so the kernel in
+:mod:`repro.network.logic_network` (byte gate codes, free-list
+compaction, cached analyses) has a differential oracle: the randomized
+fuzz in ``tests/network/test_flat_core.py`` replays identical mutator
+sequences (``add_gate`` / ``substitute`` / ``replace_fanin`` /
+``compact`` / ``clone``) against both kernels and asserts identical
+gates, fanins, ``NodeMap`` events and ``structural_hash``.
 
 Tests and benchmarks only.  :attr:`ReferenceLogicNetwork.gate_codes`
-and :meth:`ReferenceLogicNetwork.fanin_arrays` build one-shot snapshots
-of the flat core's raw arrays, so the array-native passes (cut
-enumeration, MFFC, balance) run on this layout too.
+builds a one-shot snapshot of the production kernel's gate-code array;
+with the ``fanins`` list, that is all the code-native passes (cut
+enumeration, MFFC, balance, simulation) read, so they run on this kernel
+too.
 """
 
 from __future__ import annotations
 
 import hashlib
-from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CycleError, NetworkError
@@ -301,17 +301,6 @@ class ReferenceLogicNetwork:
     def gate_codes(self) -> bytearray:
         """Snapshot of the per-node gate codes, as the flat core stores them."""
         return bytearray(CODE_BY_GATE[g] for g in self.gates)
-
-    def fanin_arrays(self) -> Tuple[array, array, array]:
-        """Snapshot of the fanins as CSR ``(offsets, degrees, pool)``."""
-        off = array("q")
-        deg = array("q")
-        pool = array("q")
-        for fins in self.fanins:
-            off.append(len(pool))
-            deg.append(len(fins))
-            pool.extend(fins)
-        return off, deg, pool
 
     def is_pi(self, node: int) -> bool:
         return self.gates[node] is Gate.PI

@@ -10,6 +10,7 @@ import pytest
 
 from repro import faults
 from repro.errors import FaultInjected, ServiceError
+from repro.circuits import build
 from repro.service import (
     FlowDaemon,
     FlowService,
@@ -17,6 +18,7 @@ from repro.service import (
     ServiceClient,
     registry_circuit,
 )
+from repro.service.queue import Job, WorkerPool
 
 FAST_CONFIG = {"verify": "none"}
 ADDER = registry_circuit("adder", "ci")
@@ -288,3 +290,41 @@ class TestFaultPlanThroughService:
             assert service.metrics()["faults"] == {"worker.crash": 1}
         finally:
             service.stop(drain_timeout=10.0)
+
+
+class TestFinishedJobsReleaseTheirNetwork:
+    """Terminal job records drop their parsed circuit; retries keep it."""
+
+    def test_terminal_jobs_release_the_network(self):
+        service = make_service()
+        payload = {"circuit": ADDER, "config": FAST_CONFIG}
+
+        def run():
+            return service.wait(service.submit(payload)["job_id"], timeout=60)
+
+        try:
+            # every job below is a cache miss until one finishes ok
+            with faults.injected("worker.flow_error@nth=1"):
+                failed = run()
+            with faults.injected("worker.crash@after=0"):
+                quarantined = run()
+            with faults.injected("worker.crash@nth=1"):
+                retried = run()
+            hit = run()
+        finally:
+            service.stop(drain_timeout=10.0)
+        assert failed.state == "failed"
+        assert quarantined.state == "quarantined"
+        # the retry after the crash still had its network to run on
+        assert (retried.state, retried.attempts) == ("done", 2)
+        assert (hit.state, hit.cached) == ("done", True)
+        for job in (failed, quarantined, retried, hit):
+            assert job.net is None
+
+    def test_crashed_attempt_keeps_the_network_for_its_retry(self):
+        pool = WorkerPool(workers=1, job_max_attempts=3)  # never started
+        job = Job(net=build("adder", "ci"), config=dict(FAST_CONFIG))
+        job.attempts = 1
+        assert pool._crash_disposition(job, "worker crashed") is True
+        assert job.state == "queued"
+        assert job.net is not None
