@@ -50,10 +50,6 @@ class MffcComputer:
         self._codes = net.gate_codes
         self._fanins = net.fanins
 
-    def _stoppable(self, node: int) -> bool:
-        """Nodes at which the cone always stops (never absorbed)."""
-        return self._codes[node] in SOURCE_CODES
-
     def mffc(self, root: int, boundary: Iterable[int] = ()) -> Set[int]:
         """MFFC of *root*; *boundary* nodes are never absorbed.
 

@@ -164,8 +164,11 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Poll until the job reaches a terminal state; returns its status.
 
-        The poll interval backs off exponentially from *poll_interval*
-        up to *poll_cap*, so long jobs do not hammer the daemon.
+        Between status reads the daemon holds a request open until the
+        job finishes or the poll interval elapses, so the job is seen
+        finished within a round trip of its end, not at the next poll.
+        The interval backs off exponentially from *poll_interval* up to
+        *poll_cap*, so long jobs do not hammer the daemon.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         delay = poll_interval
@@ -178,7 +181,9 @@ class ServiceClient:
                     f"timed out waiting for job {job_id} "
                     f"(last state: {status['state']})"
                 )
-            time.sleep(delay)
+            # held at most half the request timeout, so it never trips it
+            hold = min(delay, self.timeout / 2)
+            self._request("GET", f"/jobs/{job_id}?wait={hold:g}")
             delay = min(poll_cap, delay * 2.0)
 
     def wait(

@@ -30,7 +30,9 @@ one-thread-one-process shape is what buys the serving guarantees:
 Jobs are plain state machines (``queued -> running -> done | failed |
 quarantined``) with a :class:`threading.Event` for waiters; the pool
 reports every outcome through ``on_job_done`` — a job is *failed* or
-*quarantined*, never lost.
+*quarantined*, never lost — and sets the event only after that
+callback, so a woken waiter sees everything it recorded (the service's
+result cache entry).
 
 Fault points (see :mod:`repro.faults`; all evaluated in the dispatcher
 thread so nth-hit schedules stay deterministic across worker respawns):
@@ -95,6 +97,9 @@ class Job:
     state: the record outlives the flow, and a parsed circuit per kept
     record would grow the daemon with every job.  A crashed attempt that
     is retried goes back to ``QUEUED`` and keeps its network.
+
+    ``done`` is set by whoever settles the job once its outcome is fully
+    recorded: the pool after ``on_job_done``, the service for a cache hit.
     """
 
     net: Optional[LogicNetwork]
@@ -120,7 +125,6 @@ class Job:
         self.report = report
         self.state = DONE
         self.finished_at = time.time()
-        self.done.set()
 
     def finish_failed(self, error: str, retryable: bool = False) -> None:
         self.net = None
@@ -128,7 +132,6 @@ class Job:
         self.retryable = retryable
         self.state = FAILED
         self.finished_at = time.time()
-        self.done.set()
 
     def finish_quarantined(self, error: str) -> None:
         """Terminal poisoned-job state: never retried, never lost."""
@@ -137,7 +140,6 @@ class Job:
         self.retryable = False
         self.state = QUARANTINED
         self.finished_at = time.time()
-        self.done.set()
 
     def status_dict(self) -> Dict[str, Any]:
         """The wire-format status view of this job."""
@@ -380,6 +382,7 @@ class WorkerPool:
                             self.on_job_done(item)
                         except Exception:  # pragma: no cover - observer bug
                             traceback.print_exc()
+                    item.done.set()
 
     def _ensure_worker(self, slot: int) -> _Worker:
         worker = self._slots[slot]

@@ -15,6 +15,7 @@ Endpoints::
 
     POST /jobs               submit a job         -> 202 status (200 on cache hit)
     GET  /jobs/<id>          job status           -> 200
+    GET  /jobs/<id>?wait=S   status once the job finishes, or after S s
     GET  /jobs/<id>/result   finished flow report -> 200 | 409 not finished
     GET  /healthz            liveness + drain state
     GET  /metrics            queue/cache/worker/latency counters
@@ -32,6 +33,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro import faults
 from repro.errors import ServiceError
@@ -60,6 +62,9 @@ MAX_JOB_RECORDS = 4096
 #: wrapped by ``bench_circuit``); the biggest registry circuit
 #: (``multiplier``, paper preset) is 0.23 MB.
 MAX_BODY_BYTES = 64 * 2**20
+
+#: longest a ``GET /jobs/<id>?wait=S`` request is held open
+MAX_STATUS_WAIT_S = 10.0
 
 
 class FlowService:
@@ -179,6 +184,7 @@ class FlowService:
                 job.cached = True
                 job.started_at = job.submitted_at
                 job.finish_ok(hit)
+                job.done.set()
                 with self._lock:
                     self._submitted += 1
                     self._cache_served += 1
@@ -247,8 +253,17 @@ class FlowService:
             raise ServiceError(f"unknown job {job_id!r}", status=404)
         return job
 
-    def job_status(self, job_id: str) -> Dict[str, Any]:
-        return self._get_job(job_id).status_dict()
+    def job_status(self, job_id: str, wait: float = 0.0) -> Dict[str, Any]:
+        """The job's status, after holding up to *wait* seconds (capped at
+        :data:`MAX_STATUS_WAIT_S`) for it to finish.
+
+        A held status read answers the moment the job is settled, so a
+        poller sees a finished job at once instead of at its next poll.
+        """
+        job = self._get_job(job_id)
+        if wait > 0:
+            job.done.wait(min(wait, MAX_STATUS_WAIT_S))
+        return job.status_dict()
 
     def job_result(self, job_id: str) -> Dict[str, Any]:
         """The finished flow report; raises while the job is unfinished."""
@@ -378,7 +393,8 @@ class _FlowRequestHandler(BaseHTTPRequestHandler):
         self._dispatch(self._handle_post)
 
     def _handle_get(self) -> None:
-        path = self.path.rstrip("/")
+        url = urlsplit(self.path)
+        path = url.path.rstrip("/")
         if path == "/healthz":
             health = self.service.healthz()
             self._send(503 if health["status"] == "draining" else 200, health)
@@ -389,7 +405,8 @@ class _FlowRequestHandler(BaseHTTPRequestHandler):
         if path.startswith("/jobs/"):
             parts = path.split("/")[2:]
             if len(parts) == 1:
-                self._send(200, self.service.job_status(parts[0]))
+                wait = _wait_seconds(url.query)
+                self._send(200, self.service.job_status(parts[0], wait))
                 return
             if len(parts) == 2 and parts[1] == "result":
                 self._send(200, self.service.job_result(parts[0]))
@@ -425,6 +442,21 @@ class _FlowRequestHandler(BaseHTTPRequestHandler):
         status = self.service.submit(payload)
         # cache hits are complete on arrival; queued work is 202 Accepted
         self._send(200 if status["state"] == DONE else 202, status)
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` of a status query string: a finite number >= 0."""
+    params = parse_qs(query, keep_blank_values=True)
+    try:
+        (text,) = params.pop("wait", ["0"])
+        wait = float(text)
+    except ValueError:
+        wait = -1.0
+    if params or not 0.0 <= wait < float("inf"):
+        raise ServiceError(
+            f"a status query takes one 'wait' of seconds >= 0, got {query!r}"
+        )
+    return wait
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

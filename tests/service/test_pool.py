@@ -48,6 +48,26 @@ class TestExecution:
                     "verified", "cached"):
             assert job.report[key] == expected[key]
 
+    def test_done_is_set_after_the_outcome_is_reported(self):
+        # a waiter woken by ``done`` must find what on_job_done recorded
+        # (the service's cache entry), however slow that callback is
+        reported = []
+
+        def on_job_done(job):
+            time.sleep(0.3)
+            reported.append(job.id)
+
+        p = WorkerPool(workers=1, queue_size=4, job_timeout_s=60.0,
+                       on_job_done=on_job_done)
+        p.start()
+        try:
+            job = make_job()
+            p.submit(job)
+            assert job.done.wait(60)
+            assert reported == [job.id]
+        finally:
+            p.shutdown()
+
     def test_worker_stays_warm_across_jobs(self, pool):
         first = make_job()
         pool.submit(first)

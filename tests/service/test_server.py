@@ -261,6 +261,53 @@ class TestHttpLifecycle:
         assert again["metrics"] == report["metrics"]
         assert client.metrics()["cache"]["hits"] >= 1
 
+    def test_held_status_answers_when_the_job_finishes(self, client):
+        status = client.submit(
+            registry_circuit("adder", "ci"),
+            config=FAST_CONFIG,
+            debug={"sleep_s": 0.5},
+        )
+        started = time.monotonic()
+        held = client._request("GET", f"/jobs/{status['job_id']}?wait=8")
+        assert held["state"] == "done"
+        assert time.monotonic() - started < 6
+
+    def test_held_status_returns_unfinished_after_the_wait(self, client):
+        status = client.submit(
+            registry_circuit("adder", "ci"),
+            config=FAST_CONFIG,
+            debug={"sleep_s": 2.0},
+        )
+        started = time.monotonic()
+        held = client._request("GET", f"/jobs/{status['job_id']}?wait=0.2")
+        elapsed = time.monotonic() - started
+        assert held["state"] in ("queued", "running")
+        assert 0.2 <= elapsed < 1.5
+        client.wait(status["job_id"], timeout=60)
+
+    def test_client_sees_a_finished_job_at_once(self, client):
+        # a fixed poll schedule (0, 0.05, 0.15, 0.35, 0.75 s) would see a
+        # job ending after ~0.45 s only at the 0.75 s poll
+        status = client.submit(
+            registry_circuit("adder", "ci"),
+            config=FAST_CONFIG,
+            debug={"sleep_s": 0.45},
+        )
+        final = client.wait_status(status["job_id"], timeout=60)
+        seen_at = time.time()
+        assert final["state"] == "done"
+        assert seen_at - final["finished_at"] < 0.2
+
+    @pytest.mark.parametrize(
+        "query",
+        ["wait=-1", "wait=nan", "wait=inf", "wait=abc", "wait=",
+         "wait=1&wait=2", "timeout=1", "wait=1&x=2"],
+    )
+    def test_bad_status_wait_is_400(self, client, query):
+        with pytest.raises(ServiceError) as exc_info:
+            client._request("GET", f"/jobs/doesnotexist?{query}")
+        assert exc_info.value.status == 400
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as exc_info:
             client.status("doesnotexist")
