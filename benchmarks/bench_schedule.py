@@ -15,9 +15,11 @@ trajectory started by ``bench_kernel.py``:
   registry netlist;
 * **scale** — the kernel heuristic on mapped ``datapath`` synthetics
   (2k/4k/8k nodes, plus 20k in the full run): cells, PO nets, seconds,
-  probes (``moves_evaluated``) and ``_net_term_cost`` calls per probe.
-  The call count is deterministic; it stays flat as the PO count grows
-  only while a boundary-shifting probe avoids repricing every PO net.
+  probes (``moves_evaluated``) and ``_po_term`` calls per probe.  Every
+  PO-net term the kernel prices goes through ``_po_term`` (P(b) fills
+  and applied boundary shifts included), so the deterministic count
+  stays flat as the PO count grows only while a boundary-shifting probe
+  avoids repricing every PO net.
 
 Contract (the CI gate): these failures exit non-zero —
 
@@ -27,7 +29,7 @@ Contract (the CI gate): these failures exit non-zero —
   recomputation after the sweeps (``StageSchedule.check_invariants``),
   and its final cost must be finite;
 * no scale point may make more than :data:`RATCHET_CALLS_PER_PROBE`
-  net-term evaluations per probe (a deterministic count, as exact as
+  PO-net term evaluations per probe (a deterministic count, as exact as
   the two checks above).
 
 Timing numbers are recorded, never asserted: wall-clock noise must not
@@ -59,9 +61,10 @@ from repro.pipeline.context import FlowContext
 #: datapath sizes (nodes) of the scale section; the full run adds 20k
 SCALE_NODES_QUICK = (2_000, 4_000, 8_000)
 SCALE_NODES_FULL = SCALE_NODES_QUICK + (20_000,)
-#: ceiling on _net_term_cost calls per probe (3.3-3.5 measured;
-#: repricing every PO net on a boundary shift made it 21-26)
-RATCHET_CALLS_PER_PROBE = 5.0
+#: ceiling on _po_term calls per probe (0.88-0.92 measured; without
+#: the cached P(b), repricing every PO net per boundary shift, it is
+#: far above)
+RATCHET_CALLS_PER_PROBE = 2.0
 
 
 def mapped_netlist(name: str, preset: str):
@@ -186,11 +189,11 @@ def bench_datapath_scale(sizes, failures):
     """Kernel heuristic on mapped datapath synthetics of growing size.
 
     Each size runs twice on copies of the same mapped netlist: once
-    timed, once with ``_net_term_cost`` wrapped in a call counter (the
+    timed, once with ``_po_term`` wrapped in a call counter (the
     count is deterministic; the wrapper would inflate the time).
     """
     out = {}
-    real = schedule_module._net_term_cost
+    real = schedule_module._po_term
     for n_nodes in sizes:
         source = build_synthetic("datapath", n_nodes, 0)
         name = f"datapath_{n_nodes}"
@@ -207,11 +210,11 @@ def bench_datapath_scale(sizes, failures):
             calls += 1
             return real(*args)
 
-        schedule_module._net_term_cost = counting
+        schedule_module._po_term = counting
         try:
             counted_report = assign_stages_heuristic(counted)
         finally:
-            schedule_module._net_term_cost = real
+            schedule_module._po_term = real
         if [c.stage for c in counted.cells] != [c.stage for c in nl.cells]:
             failures.append(f"scale:{name}: repeated run diverged")
         probes = counted_report.moves_evaluated
@@ -222,8 +225,8 @@ def bench_datapath_scale(sizes, failures):
             "seconds": round(seconds, 4),
             "moves_evaluated": report.moves_evaluated,
             "moves_applied": report.moves_applied,
-            "net_term_calls": calls,
-            "net_term_calls_per_probe": round(calls / probes, 2) if probes else None,
+            "po_term_calls": calls,
+            "po_term_calls_per_probe": round(calls / probes, 2) if probes else None,
         }
     return out
 
@@ -231,11 +234,11 @@ def bench_datapath_scale(sizes, failures):
 def check_ratchet(scale):
     """Ratchet violations: scale points above the calls-per-probe ceiling."""
     return [
-        f"ratchet:{name}: {entry['net_term_calls_per_probe']} _net_term_cost "
+        f"ratchet:{name}: {entry['po_term_calls_per_probe']} _po_term "
         f"calls per probe > {RATCHET_CALLS_PER_PROBE}"
         for name, entry in scale.items()
-        if entry["net_term_calls_per_probe"] is not None
-        and entry["net_term_calls_per_probe"] > RATCHET_CALLS_PER_PROBE
+        if entry["po_term_calls_per_probe"] is not None
+        and entry["po_term_calls_per_probe"] > RATCHET_CALLS_PER_PROBE
     ]
 
 
@@ -256,7 +259,7 @@ def main(argv=None) -> int:
         "delta_probe": bench_delta_probe(preset, failures),
         "scale": scale,
         "ratchet": {
-            "max_net_term_calls_per_probe": RATCHET_CALLS_PER_PROBE,
+            "max_po_term_calls_per_probe": RATCHET_CALLS_PER_PROBE,
             "ok": not ratchet_failures,
             "failures": ratchet_failures,
         },
@@ -282,7 +285,7 @@ def main(argv=None) -> int:
         print(
             f"scale {name:<15} {entry['cells']} cells, {entry['po_nets']} PO "
             f"nets: {entry['seconds']:.3f}s, {entry['moves_evaluated']} probes, "
-            f"{entry['net_term_calls_per_probe']} net-term calls/probe"
+            f"{entry['po_term_calls_per_probe']} PO-term calls/probe"
         )
     return _harness.exit_code(
         "SCHEDULE KERNEL FAILURES", failures + ratchet_failures

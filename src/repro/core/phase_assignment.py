@@ -162,10 +162,11 @@ def _mark_around(st: NetlistStructure, y: int, dirty: List[bool]) -> None:
 def _best_stage(kernel: StageSchedule, x: int, is_pi: bool) -> int:
     """One visit of cell *x*: the candidate stage priced cheapest.
 
-    Candidates are probed in ascending order and only a strict
+    The kernel prices the candidates in ascending order in one call
+    (:meth:`~repro.core.schedule.StageSchedule.best_stage`); only a strict
     improvement replaces the best so far, so ties keep the lower stage
     and x's own stage wins when nothing improves.  Returns x's stage
-    unprobed when its window is pinned (``lb == ub``).
+    unpriced when its window is pinned (``lb == ub``).
     """
     st = kernel.st
     stages = kernel.stages
@@ -174,16 +175,9 @@ def _best_stage(kernel: StageSchedule, x: int, is_pi: bool) -> int:
     lb, ub = _move_window(st, stages, x, is_pi, kernel.boundary(), n)
     if ub <= lb:  # pinned (or no feasible window)
         return current  # type: ignore[return-value]
-    best_stage = current
-    best_cost = kernel.total()
-    for cand in sorted(_candidate_stages(st, stages, x, lb, ub, is_pi, n)):
-        if cand == current:
-            continue
-        cost = kernel.cost_if_moved(x, cand)
-        if cost < best_cost - 1e-9:
-            best_cost = cost
-            best_stage = cand
-    return best_stage  # type: ignore[return-value]
+    cands = _candidate_stages(st, stages, x, lb, ub, is_pi, n)
+    cands.discard(current)  # type: ignore[arg-type]
+    return kernel.best_stage(x, sorted(cands))
 
 
 def _dirty_sweeps(kernel: StageSchedule, pis: Sequence[int], sweeps: int) -> int:
@@ -191,7 +185,9 @@ def _dirty_sweeps(kernel: StageSchedule, pis: Sequence[int], sweeps: int) -> int
 
     Sweeps alternate between the topological order and its reverse and
     stop after the first sweep that applies no move.  *pis* are the
-    primary-input cells.
+    primary-input cells.  Every applied move marks every boundary reader;
+    rather than write those marks per move, a reader counts as marked
+    when a move was applied since its last visit.
     """
     st = kernel.st
     stages = kernel.stages  # shared view; mutated only via apply_move
@@ -199,23 +195,27 @@ def _dirty_sweeps(kernel: StageSchedule, pis: Sequence[int], sweeps: int) -> int
     for p in pis:
         is_pi[p] = True
     movable = [c or p for c, p in zip(st.clocked, is_pi)]
-    boundary_readers = _boundary_readers(st, movable)
+    reader = [False] * len(movable)
+    for c in _boundary_readers(st, movable):
+        reader[c] = True
+    seen = [0] * len(movable)  # moves applied before each cell's last visit
+    applied = 0
     dirty = movable  # every movable cell is visited in the first sweep
     orders = (st.order, st.order[::-1])
     for sweep in range(sweeps):
         improved = False
         for x in orders[sweep % 2]:
-            if not dirty[x]:
+            if not dirty[x] and not (reader[x] and seen[x] < applied):
                 continue
             dirty[x] = False
+            seen[x] = applied
             current = stages[x]
             best_stage = _best_stage(kernel, x, is_pi[x])
             if best_stage != current:
                 kernel.apply_move(x, best_stage)
+                applied += 1
                 improved = True
                 _mark_around(st, x, dirty)
-                for c in boundary_readers:
-                    dirty[c] = True
         if not improved:
             return sweep + 1
     return sweeps

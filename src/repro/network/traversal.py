@@ -86,27 +86,3 @@ def live_nodes(net: LogicNetwork) -> Set[int]:
     fanins alive.  PIs are always retained (interface stability).
     """
     return net.live_nodes()
-
-
-def cone_nodes(
-    net: LogicNetwork, root: int, leaves: Set[int]
-) -> List[int]:
-    """Nodes strictly inside the cone of *root* bounded by *leaves*.
-
-    The returned list contains the internal nodes (root included, leaves
-    excluded) in reverse-DFS order.  Raises if the cone escapes the leaves
-    (i.e. reaches a PI/const not listed as leaf).
-    """
-    out: List[int] = []
-    seen: Set[int] = set()
-
-    def visit(u: int) -> None:
-        if u in leaves or u in seen:
-            return
-        seen.add(u)
-        for f in net.fanins[u]:
-            visit(f)
-        out.append(u)
-
-    visit(root)
-    return out

@@ -126,6 +126,10 @@ class Pipeline:
 
     # -- construction -------------------------------------------------------
 
+    #: the largest accepted phase count: T1 input planning enumerates the
+    #: freshness window's slot triples (~n³), and every caller uses n <= 8
+    MAX_PHASES = 16
+
     @classmethod
     def standard(
         cls,
@@ -146,8 +150,12 @@ class Pipeline:
         through the builder, e.g. explicit splitter trees with
         ``.with_pass(SplitterPass(), after="dff_insert")``.
         """
-        if n_phases < 1:
-            raise PipelineError(f"n_phases must be >= 1, got {n_phases}")
+        if not 1 <= n_phases <= cls.MAX_PHASES:
+            raise PipelineError(
+                f"n_phases must be in 1..{cls.MAX_PHASES}, got {n_phases}"
+            )
+        if sweeps < 0:
+            raise PipelineError(f"sweeps must be >= 0, got {sweeps}")
         if cuts_per_node < 1:
             raise PipelineError(f"cuts_per_node must be >= 1, got {cuts_per_node}")
         if use_t1 and n_phases < 3:

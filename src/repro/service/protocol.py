@@ -178,14 +178,16 @@ def load_circuit(payload: Any) -> LogicNetwork:
             from repro.circuits import build
 
             return build(payload["name"], payload.get("preset", "paper"))
-        if kind == "blif":
-            from repro.io import loads_blif
+        if kind in ("blif", "bench"):
+            text = payload["text"]
+            if not isinstance(text, str):
+                raise ServiceError(
+                    f"{kind!r} circuit text must be a string, "
+                    f"got {type(text).__name__}"
+                )
+            from repro.io import loads_bench, loads_blif
 
-            return loads_blif(payload["text"])
-        if kind == "bench":
-            from repro.io import loads_bench
-
-            return loads_bench(payload["text"])
+            return (loads_blif if kind == "blif" else loads_bench)(text)
     except ServiceError:
         raise
     except (ReproError, KeyError, TypeError) as exc:

@@ -285,9 +285,6 @@ class SFQNetlist:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def clocked_cells(self) -> Iterator[Cell]:
-        return (c for c in self.cells if c.clocked)
-
     def gate_cells(self) -> Iterator[Cell]:
         return (c for c in self.cells if c.kind is CellKind.GATE)
 

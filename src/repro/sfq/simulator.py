@@ -42,9 +42,6 @@ class StreamResult:
     num_waves: int
     horizon: int  # last global stage time simulated
 
-    def po_stream(self, po_index: int) -> List[int]:
-        return [wave[po_index] for wave in self.po_values]
-
 
 class PulseSimulator:
     """Simulate a staged netlist on a stream of input waves."""

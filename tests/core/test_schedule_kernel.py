@@ -456,17 +456,18 @@ class TestDirtySweeps:
 
 
 class TestProbeScaling:
-    """Deterministic guard on the work per probe (no wall clock).
+    """Deterministic guard on the PO work per probe (no wall clock).
 
+    Every PO-net term the kernel prices goes through ``_po_term``.
     Repricing every PO net on each boundary-shifting probe made a probe
-    cost O(#PO nets): about 22 net-term evaluations per probe on the 2k
-    datapath (347 PO nets).  The cached per-boundary totals bring that
-    down to about 3.4.
+    cost O(#PO nets); the cached per-boundary totals keep the count at
+    about 0.9 ``_po_term`` calls per priced candidate on the 2k datapath
+    (347 PO nets), P(b) fills and applied boundary shifts included.
     """
 
-    def test_net_term_calls_per_probe(self, monkeypatch):
+    def test_po_term_calls_per_probe(self, monkeypatch):
         calls = 0
-        real = schedule_module._net_term_cost
+        real = schedule_module._po_term
 
         def counting(*args):
             nonlocal calls
@@ -474,10 +475,99 @@ class TestProbeScaling:
             return real(*args)
 
         nl = mapped_datapath(2000)
-        monkeypatch.setattr(schedule_module, "_net_term_cost", counting)
+        monkeypatch.setattr(schedule_module, "_po_term", counting)
         report = assign_stages_heuristic(nl)
         assert report.moves_evaluated > 10_000
-        assert calls <= 5 * report.moves_evaluated
+        assert calls <= 2 * report.moves_evaluated
+        # the count is live on the probe path: pricing a PO driver reads it
+        k = StageSchedule(nl, stages=[c.stage for c in nl.cells])
+        st = k.st
+        x = next(
+            sig[0]
+            for sig in st.po_signals
+            if not st.net_consumers[sig[0]] and not st.t1_consumers[sig[0]]
+        )
+        before = calls
+        assert k.cost_if_moved(x, k.boundary()) < INF
+        assert calls > before
+
+
+def trial_costs(k, x, cands):
+    """Each candidate's cost found by really moving *x* on a fork of *k*:
+    ``recompute_total()`` after ``apply_move``, INF where it raises."""
+    out = []
+    for s in cands:
+        twin = fork_kernel(k)
+        try:
+            twin.apply_move(x, s)
+        except TimingError:
+            out.append(INF)
+            continue
+        out.append(twin.recompute_total())
+    return out
+
+
+def check_visits(k, extra_top=0):
+    """Price every movable cell's neighbourhood in one visit and compare
+    each candidate with a trial move; *extra_top* adds candidates that
+    far past the deepest stage (boundary-raising moves)."""
+    nl = k.netlist
+    st = k.st
+    top = max(k.stages[i] for i in range(len(nl.cells)) if st.clocked[i])
+    for x in range(len(nl.cells)):
+        if not (st.clocked[x] or x in nl.pis):
+            continue
+        s0 = k.stages[x]
+        cands = set(range(max(0, s0 - 4), s0 + 5))
+        cands.update(range(top + 1, top + 1 + extra_top))
+        cands.discard(s0)
+        cands = sorted(cands)
+        want = trial_costs(k, x, cands)
+        assert k._price(x, cands) == want, (x, cands)
+        # the visit's pick: first cheapest candidate strictly below the total
+        best = min(want)
+        pick = cands[want.index(best)] if best < k.total() else s0
+        assert k.best_stage(x, cands) == pick
+    k.check_invariants()
+
+
+class TestVisitPricer:
+    """One visit prices every candidate exactly as a trial move does."""
+
+    @pytest.mark.parametrize("scattered", [False, True], ids=["asap", "scattered"])
+    @pytest.mark.parametrize("n_phases", [1, 2, 3, 4])
+    def test_random_netlists(self, n_phases, scattered):
+        for seed in range(12):
+            nl = random_netlist(seed, n_phases)
+            stages = scattered_stages(nl, seed) if scattered else None
+            check_visits(StageSchedule(nl, stages=stages))
+
+    @pytest.mark.parametrize("n_phases", [2, 4])
+    def test_random_wide_po_netlist(self, n_phases):
+        nl = random_netlist(
+            31 + n_phases, n_phases, n_pi=6, n_gates=60, n_t1=4, n_po=40
+        )
+        k = StageSchedule(nl, stages=scattered_stages(nl, n_phases))
+        check_visits(k, extra_top=3)
+        assert k._po_totals  # boundary-shifting candidates were priced
+
+
+@pytest.mark.parametrize("n_phases", [3, 4, 5, 6])
+def test_t1_epoch_reduced_cost_exhaustive(n_phases):
+    """A fanin gap past 2n is priced reduced into (n, 2n] plus one DFF per
+    epoch dropped; that equals the insertion planner for every window head
+    1..n and every gap triple up to 4n + 2, and no memo key exceeds 2n."""
+    n = n_phases
+    k = StageSchedule(random_netlist(11, n))
+    top = 4 * n + 2
+    for head in range(1, n + 1):
+        for a in range(1, top + 1):
+            for b in range(a, top + 1):
+                for c in range(b, top + 1):
+                    fanins = [head - c, head - a, head - b]
+                    want = t1_input_cost(head, fanins, n)
+                    assert k._t1(head, fanins) == want, (head, a, b, c)
+    assert max(max(key[:3]) for key in k._t1_memo) <= 2 * n
 
 
 class TestHeuristicQuality:

@@ -51,16 +51,24 @@ class TestComposition:
             {"n_phases": 0, "use_t1": False},
             {"n_phases": -1, "use_t1": False},
             {"n_phases": 0},
+            {"n_phases": Pipeline.MAX_PHASES + 1},
+            {"n_phases": 1_000_000_000},
+            {"sweeps": -1},
             {"cuts_per_node": 0},
             {"verify": "CEC"},
             {"verify": "bogus"},
         ],
         ids=["zero-phases", "negative-phases", "zero-phases-t1",
+             "too-many-phases", "huge-phases", "negative-sweeps",
              "zero-cuts", "verify-uppercase", "verify-unknown"],
     )
     def test_out_of_range_settings_rejected(self, settings):
         with pytest.raises(PipelineError):
             Pipeline.standard(**settings)
+
+    def test_phase_and_sweep_bounds_are_inclusive(self):
+        Pipeline.standard(n_phases=Pipeline.MAX_PHASES)
+        Pipeline.standard(sweeps=0)
 
     def test_unknown_verify_mode_rejected_everywhere(self):
         with pytest.raises(PipelineError):

@@ -96,6 +96,13 @@ class TestCircuits:
         with pytest.raises(ServiceError, match="unknown circuit kind"):
             load_circuit({"kind": "verilog", "text": ""})
 
+    @pytest.mark.parametrize("kind", ["blif", "bench"])
+    @pytest.mark.parametrize("text", [None, 7, ["INPUT(a)"]], ids=["null", "int", "list"])
+    def test_non_string_text_rejected(self, kind, text):
+        # a null text used to load as an empty network
+        with pytest.raises(ServiceError, match="text must be a string"):
+            load_circuit({"kind": kind, "text": text})
+
     def test_missing_kind(self):
         with pytest.raises(ServiceError, match="'kind'"):
             load_circuit({"name": "adder"})

@@ -329,12 +329,16 @@ class TestHttpLifecycle:
         [
             {"n_phases": 0},
             {"n_phases": -1},
+            {"n_phases": 64},
+            {"n_phases": 1_000_000_000},
+            {"sweeps": -1},
             {"verify": "CEC"},
             {"verify": "bogus"},
             {"cuts_per_node": 0},
         ],
-        ids=["zero-phases", "negative-phases", "verify-uppercase",
-             "verify-unknown", "zero-cuts"],
+        ids=["zero-phases", "negative-phases", "64-phases", "huge-phases",
+             "negative-sweeps", "verify-uppercase", "verify-unknown",
+             "zero-cuts"],
     )
     def test_out_of_range_config_is_400_at_submit(self, client, config):
         # rejected before queueing: a negative phase count used to hang

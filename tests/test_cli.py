@@ -92,9 +92,15 @@ def test_run_per_edge_insertion(capsys):
         ["run", "adder", "--preset", "ci", "--phases", "0"],
         ["run", "adder", "--preset", "ci", "--phases", "-1"],
         ["table", "adder", "--preset", "ci", "--phases", "0"],
+        ["run", "adder", "--preset", "ci", "--phases", "64"],
+        ["run", "adder", "--preset", "ci", "--phases", "1000000000"],
+        ["table", "adder", "--preset", "ci", "--phases", "17"],
+        ["run", "adder", "--preset", "ci", "--sweeps", "-1"],
     ],
     ids=["unknown-benchmark", "scale-on-registry", "resume-without-journal",
-         "run-zero-phases", "run-negative-phases", "table-zero-phases"],
+         "run-zero-phases", "run-negative-phases", "table-zero-phases",
+         "run-64-phases", "run-huge-phases", "table-17-phases",
+         "run-negative-sweeps"],
 )
 def test_user_errors_exit_2(argv, capsys):
     assert main(argv) == 2
